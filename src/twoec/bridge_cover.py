@@ -13,7 +13,7 @@ so the loop ends with every component 2-edge-connected.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 infeasible input,
 
 import argparse
 import concurrent.futures
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Dict, List, Optional
 from . import harness
 from .errors import (InfeasibleError, InternalContradiction,
                      OracleBudgetError, OracleTimeout, ParseError)
-from .harness import (FAMILIES, baseline_dfs2, format_instance, generate,
+from .harness import (FAMILIES, baseline_dfs2, format_instance,
                       instance_hash, parse_instance, report_json,
                       report_with_opt, solve, verify)
 from .oracle import OracleBudget, min_2ecss

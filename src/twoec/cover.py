@@ -9,11 +9,11 @@ later merging stages spend.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .errors import InternalContradiction
 from .graph import (VIRTUAL_BASE, Edge, Graph, bridges, components,
-                    hamiltonian_path, is_2ec, two_ec_blocks)
+                    connected_subsets, hamiltonian_path, is_2ec, two_ec_blocks)
 from .oracle import min_tf2ec
 
 GUESS_VERTICES = 8
@@ -29,35 +29,13 @@ def enumerate_guesses(g: Graph) -> Iterator[FrozenSet[int]]:
     Grouped by vertex set (ascending anchor, extension order), then by
     lexicographic edge-id tuple within a set.
     """
-    for w in _connected_ksets(g, GUESS_VERTICES):
+    for w in connected_subsets(g, GUESS_VERTICES):
+        if len(w) < GUESS_VERTICES:
+            continue
         sub = g.induced(w)
         if sub.m < GUESS_EDGES:
             continue
         yield from _spanning_trees(sub)
-
-
-def _connected_ksets(g: Graph, k: int) -> Iterator[FrozenSet[int]]:
-    """Connected vertex sets of size exactly k, each exactly once."""
-    for v in g.vertices:
-        allowed = {u for u in g.vertices if u > v}
-
-        def grow(current: Set[int], ext: List[int], banned: Set[int]):
-            if len(current) == k:
-                yield frozenset(current)
-                return
-            local_ban = set(banned)
-            for i, u in enumerate(ext):
-                new_ext = list(ext[i + 1:])
-                seen = set(new_ext) | current | local_ban | {u}
-                for x in g.neighbors(u):
-                    if x in allowed and x not in seen:
-                        new_ext.append(x)
-                        seen.add(x)
-                yield from grow(current | {u}, new_ext, local_ban)
-                local_ban.add(u)
-
-        ext0 = sorted(x for x in g.neighbors(v) if x in allowed)
-        yield from grow({v}, ext0, set())
 
 
 def _spanning_trees(sub: Graph) -> Iterator[FrozenSet[int]]:

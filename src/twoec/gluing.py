@@ -15,9 +15,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .errors import InternalContradiction
 from .cover import cover_cost, canonical_violations
-from .graph import (ComponentGraph, Edge, FlowNet, Graph, component_graph,
-                    components, find_cross_matching, hamiltonian_path, is_2ec,
-                    path_avoiding)
+from .graph import (ComponentGraph, Edge, FlowNet, Graph, biconnected_blocks,
+                    component_graph, components, find_cross_matching,
+                    hamiltonian_path, is_2ec, path_avoiding)
 
 
 @dataclass(frozen=True)
@@ -56,51 +56,10 @@ def _dump(g: Graph, s: Iterable[int]) -> Dict[str, object]:
 
 
 def _blocks_of(h: Graph) -> List[FrozenSet[int]]:
-    """Biconnected blocks of h as vertex sets (bridges give 2-node blocks)."""
-    adj: Dict[int, List[int]] = {v: sorted(set(h.neighbors(v)))
-                                 for v in h.vertices}
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    out: List[FrozenSet[int]] = []
-    counter = 0
-    for root in sorted(h.vertices):
-        if root in disc:
-            continue
-        estack: List[Tuple[int, int]] = []
-        stack: List[Tuple[int, Optional[int], int]] = [(root, None, 0)]
-        while stack:
-            v, parent, idx = stack.pop()
-            if idx == 0:
-                disc[v] = low[v] = counter
-                counter += 1
-            advanced = False
-            while idx < len(adj[v]):
-                w = adj[v][idx]
-                idx += 1
-                if w not in disc:
-                    estack.append((v, w))
-                    stack.append((v, parent, idx))
-                    stack.append((w, v, 0))
-                    advanced = True
-                    break
-                if w != parent and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            if parent is not None:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    verts: Set[int] = set()
-                    while estack:
-                        a, b = estack.pop()
-                        verts.add(a)
-                        verts.add(b)
-                        if (a, b) == (parent, v):
-                            break
-                    if verts:
-                        out.append(frozenset(verts))
-    return sorted(out, key=lambda b: (min(b), len(b)))
+    """Biconnected blocks of h as vertex sets (bridges give 2-node blocks),
+    ordered by smallest vertex, then size, then sorted vertex list."""
+    return sorted((vs for vs, _es in biconnected_blocks(h)),
+                  key=lambda b: (min(b), len(b), sorted(b)))
 
 
 def build_context(g: Graph, s: FrozenSet[int]) -> GlueContext:

@@ -4,12 +4,23 @@ Every edge keeps its integer id through subgraph extraction and contraction,
 so edge sets produced on derived graphs are directly valid on the original.
 Vertices and edges are always iterated in ascending id order; "pick any"
 choices elsewhere in the package resolve to the smallest id.
+
+`biconnected_blocks` is the one connectivity core: a single lowpoint DFS
+whose blocks give the bridges (one-edge blocks), the cut vertices (vertices
+in two or more blocks) and, through the cut vertices of g - u, the 2-vertex
+cuts. `connected_subsets` is the one enumerator of small connected vertex
+sets, shared by the guess enumeration and the contractibility search. The
+exact oracle keeps its own bridge test, `oracle._EdgeArrays.is_2ec_now`: it
+runs on mutable edge arrays inside the branch and bound, stops at the first
+bridge, and would otherwise need a fresh `Graph` at every search node.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 # Ids at or above this are reserved for dummy vertices / virtual edges
 # introduced by reductions and never appear in input instances.
@@ -205,51 +216,69 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
-def bridges(g: Graph) -> Set[int]:
-    """Edge ids whose removal disconnects their component.
+def biconnected_blocks(g: Graph) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
+    """Blocks of g as (vertex set, edge ids), in the order the DFS closes them.
 
-    Multigraph-aware: an edge with a parallel partner is never a bridge,
-    and loops are never bridges. Iterative DFS, lowpoint based.
+    A block is a maximal 2-vertex-connected piece or a single bridge. Loops
+    lie in no block; parallel edges land in one block. Iterative lowpoint DFS
+    with an edge stack (Tarjan 1972): a tree edge p-v closes a block when no
+    edge below v reaches above p.
     """
     disc: Dict[int, int] = {}
     low: Dict[int, int] = {}
-    out: Set[int] = set()
-    counter = 0
+    out: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
     for root in g.vertices:
         if root in disc:
             continue
-        # stack entries: (vertex, incoming edge id, iterator index)
-        disc[root] = low[root] = counter
-        counter += 1
-        stack: List[Tuple[int, int, int]] = [(root, -1, 0)]
+        disc[root] = low[root] = len(disc)
+        estack: List[Edge] = []
+        # stack entries: (vertex, incoming tree edge or None, iterator index)
+        stack: List[Tuple[int, Optional[Edge], int]] = [(root, None, 0)]
         while stack:
-            v, in_eid, i = stack.pop()
+            v, in_e, i = stack.pop()
             inc = g.incident(v)
-            advanced = False
             while i < len(inc):
                 e = inc[i]
                 i += 1
-                if e.is_loop():
-                    continue
                 w = e.other(v)
+                if w == v:
+                    continue
                 if w not in disc:
-                    stack.append((v, in_eid, i))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, e.id, 0))
-                    advanced = True
+                    stack.append((v, in_e, i))
+                    disc[w] = low[w] = len(disc)
+                    estack.append(e)
+                    stack.append((w, e, 0))
                     break
-                if e.id != in_eid:
-                    low[v] = min(low[v], disc[w])
-            if not advanced and i >= len(inc):
-                # v is finished; propagate lowpoint to parent
-                if in_eid != -1:
-                    e = g.edge(in_eid)
-                    p = e.other(v)
-                    if low[v] > disc[p]:
-                        out.add(in_eid)
-                    low[p] = min(low[p], low[v])
+                if e is not in_e and disc[w] < disc[v]:
+                    estack.append(e)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                # v is finished; propagate its lowpoint to the parent
+                if in_e is None:
+                    continue
+                p = in_e.other(v)
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    vs: Set[int] = set()
+                    es: List[int] = []
+                    while True:
+                        f = estack.pop()
+                        vs.add(f.u)
+                        vs.add(f.v)
+                        es.append(f.id)
+                        if f is in_e:
+                            break
+                    out.append((frozenset(vs), frozenset(es)))
     return out
+
+
+def bridges(g: Graph) -> Set[int]:
+    """Edge ids whose removal disconnects their component: the one-edge
+    blocks. An edge with a parallel partner and a loop are never bridges."""
+    return {eid for _vs, es in biconnected_blocks(g) if len(es) == 1
+            for eid in es}
 
 
 def is_2ec(g: Graph) -> bool:
@@ -260,51 +289,9 @@ def is_2ec(g: Graph) -> bool:
 
 
 def cut_vertices(g: Graph) -> Set[int]:
-    """Articulation points, multigraph-aware (parallel edges are one child link)."""
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    out: Set[int] = set()
-    counter = 0
-    for root in g.vertices:
-        if root in disc:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        root_children = 0
-        stack: List[Tuple[int, int, int]] = [(root, -1, 0)]
-        while stack:
-            v, in_eid, i = stack.pop()
-            inc = g.incident(v)
-            advanced = False
-            while i < len(inc):
-                e = inc[i]
-                i += 1
-                if e.is_loop():
-                    continue
-                w = e.other(v)
-                if w not in disc:
-                    stack.append((v, in_eid, i))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, e.id, 0))
-                    if v == root:
-                        root_children += 1
-                    advanced = True
-                    break
-                if e.id != in_eid:
-                    low[v] = min(low[v], disc[w])
-                elif len(g.edges_between(v, w)) > 1:
-                    # parallel to the tree edge still gives a back link
-                    low[v] = min(low[v], disc[w])
-            if not advanced and i >= len(inc):
-                if in_eid != -1:
-                    p = g.edge(in_eid).other(v)
-                    if p != root and low[v] >= disc[p]:
-                        out.add(p)
-                    low[p] = min(low[p], low[v])
-        if root_children >= 2:
-            out.add(root)
-    return out
+    """Articulation points: the vertices that lie in two or more blocks."""
+    count = Counter(v for vs, _es in biconnected_blocks(g) for v in vs)
+    return {v for v, c in count.items() if c >= 2}
 
 
 def is_2vc(g: Graph) -> bool:
@@ -344,16 +331,20 @@ def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
     """All 2-vertex cuts with classification 'isolating' / 'non_isolating'.
 
     {u,v} is a cut if g - {u,v} is disconnected; isolating means exactly two
-    components, one of them a single vertex.
+    components, one of them a single vertex. Pairs come in lexicographic
+    order. When g - u is connected its partners v are exactly its cut
+    vertices, so one block DFS per u replaces the scan over every v.
     """
     out = []
     vs = g.vertices
     for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            rest = g.without_vertices((u, v))
-            if rest.n == 0:
-                continue
-            comps = components(rest)
+        rest = g.without_vertices((u,))
+        if is_connected(rest):
+            partners = sorted(v for v in cut_vertices(rest) if v > u)
+        else:
+            partners = vs[i + 1:]
+        for v in partners:
+            comps = components(rest.without_vertices((v,)))
             if len(comps) <= 1:
                 continue
             if len(comps) == 2 and min(len(c) for c in comps) == 1:
@@ -376,6 +367,36 @@ def find_irrelevant_edge(g: Graph) -> Optional[Edge]:
         if is_two_cut(g, e.u, e.v):
             return e
     return None
+
+
+def connected_subsets(g: Graph, kmax: int) -> Iterator[FrozenSet[int]]:
+    """Every connected vertex set with at most kmax vertices, each once.
+
+    For each anchor v (ascending), the sets whose minimum vertex is v, grown
+    by neighbourhood extension in preorder: a set comes before its
+    extensions. A vertex skipped at one level is banned below its later
+    siblings, which kills duplicates.
+    """
+    nbrs = {v: g.neighbors(v) for v in g.vertices}
+
+    def grow(v: int, current: Set[int], ext: List[int], banned: Set[int]
+             ) -> Iterator[FrozenSet[int]]:
+        yield frozenset(current)
+        if len(current) == kmax:
+            return
+        local_ban = set(banned)
+        for i, u in enumerate(ext):
+            new_ext = ext[i + 1:]
+            seen = set(new_ext) | current | local_ban | {u}
+            for x in nbrs[u]:
+                if x > v and x not in seen:
+                    new_ext.append(x)
+                    seen.add(x)
+            yield from grow(v, current | {u}, new_ext, local_ban)
+            local_ban.add(u)
+
+    for v in g.vertices:
+        yield from grow(v, {v}, [x for x in nbrs[v] if x > v], set())
 
 
 @dataclass

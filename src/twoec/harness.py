@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .bridge_cover import cover_all
-from .cover import canonicalize, cover_cost, enumerate_guesses, initial_cover
+from .cover import canonicalize, enumerate_guesses, initial_cover
 from .errors import InfeasibleError, ParseError
 from .gluing import glue_all
 from .graph import Edge, Graph, components, is_2ec

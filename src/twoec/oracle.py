@@ -4,6 +4,16 @@ Branch-and-bound over edge inclusion with degree-deficiency lower bounds.
 Used inside the main algorithm (base cases, type optima, contractibility
 tests) and as ground truth in the acceptance suite. Ties among equal-size
 optima break to the lexicographically smallest edge-id set.
+
+The bounds, all computed from degrees with the standard library only:
+
+- `min_2ecss` / `min_inner_edges`: every vertex ends with degree >= 2, so
+  half of sum_v max(2, committed degree of v), less the free edges, bounds
+  the kept count from below; with no free edge that is n. Greedy removal
+  passes give the upper bound, and the search deepens from the lower.
+- `min_tf2ec` and `opt_type`: kept edges plus half the remaining degree
+  deficiency.
+- `max_tf2matching`: kept edges plus half the remaining degree room.
 """
 
 from __future__ import annotations
@@ -12,10 +22,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import OracleBudgetError, OracleTimeout
-from .graph import Graph, bridges, components, is_2ec, is_connected, two_ec_blocks
+from .graph import (Graph, components, connected_subsets, is_2ec,
+                    is_connected, two_ec_blocks)
 
 
 @dataclass
@@ -163,28 +174,6 @@ class _EdgeArrays:
         return visited == n
 
 
-def _max_2matching_size(g: Graph) -> int:
-    """Maximum simple 2-matching via the degree-copy gadget and blossom."""
-    try:
-        import networkx as nx
-    except ImportError:
-        return 0
-    H = nx.Graph()
-    for v in g.vertices:
-        H.add_node(("v", v, 0))
-        H.add_node(("v", v, 1))
-    for e in g.edges():
-        if e.is_loop():
-            continue
-        a, b = ("e", e.id, 0), ("e", e.id, 1)
-        H.add_edge(a, b)
-        for i in (0, 1):
-            H.add_edge(("v", e.u, i), a)
-            H.add_edge(("v", e.v, i), b)
-    m = nx.max_weight_matching(H, maxcardinality=True)
-    return len(m) - sum(1 for e in g.edges() if not e.is_loop())
-
-
 def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
                    cap: Optional[int], deadline: Optional[float]
                    ) -> Tuple[int, FrozenSet[int]]:
@@ -243,10 +232,9 @@ def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
     floor2 = 2 if arr.n >= 2 else 0
     bsum = sum(max(floor2, d) for d in cd)
 
-    # Lower bound on the optimum kept count.
+    # Lower bound on the optimum kept count. With no free edge every cd[v]
+    # is 0, so this is n: a 2EC spanning subgraph has at least n edges.
     lb = max(0, (bsum + 1) // 2 - n_free)
-    if n_free == 0 and g.n >= 2:
-        lb = max(lb, g.n, 2 * g.n - _max_2matching_size(g))
 
     kept: List[int] = []
     nverts = arr.n
@@ -558,8 +546,12 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     budget = budget or DEFAULT_BUDGET
     kmax_frac = Fraction(2) / (alpha - 1)
     kmax = math.floor(kmax_frac)
-    examined = [0]
-    for w in _connected_subsets(g, kmax, budget, examined):
+    examined = 0
+    for w in connected_subsets(g, kmax):
+        examined += 1
+        if examined > budget.subset_budget:
+            raise OracleBudgetError(
+                "connected-subset enumeration budget exhausted")
         if len(w) < 3:
             continue
         sub = g.induced(w)
@@ -578,38 +570,6 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
         if cap < 0 or min_inner_edges(g, inner, cap) is None:
             return c
     return None
-
-
-def _connected_subsets(g: Graph, kmax: int, budget: OracleBudget,
-                       examined: List[int]):
-    """All connected vertex sets of size <= kmax, each exactly once.
-
-    For each anchor v (ascending), sets whose minimum vertex is v, grown by
-    neighborhood extension with a forbidden set to kill duplicates.
-    """
-    for v in g.vertices:
-        allowed = {u for u in g.vertices if u > v}
-
-        def grow(current: Set[int], ext: List[int], banned: Set[int]):
-            examined[0] += 1
-            if examined[0] > budget.subset_budget:
-                raise OracleBudgetError("connected-subset enumeration budget exhausted")
-            yield frozenset(current)
-            if len(current) == kmax:
-                return
-            local_ban = set(banned)
-            for i, u in enumerate(ext):
-                new_ext = list(ext[i + 1:])
-                seen = set(new_ext) | current | local_ban | {u}
-                for x in g.neighbors(u):
-                    if x in allowed and x not in seen:
-                        new_ext.append(x)
-                        seen.add(x)
-                yield from grow(current | {u}, new_ext, local_ban)
-                local_ban.add(u)
-
-        ext0 = sorted(x for x in g.neighbors(v) if x in allowed)
-        yield from grow({v}, ext0, set())
 
 
 # -- type classification and type optima ----------------------------------

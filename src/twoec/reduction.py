@@ -162,11 +162,9 @@ def _parallel_or_loop(g: Graph) -> Optional[Edge]:
 
 
 def _smallest_non_isolating_cut(g: Graph) -> Optional[Tuple[int, int]]:
-    best = None
-    for (u, v), kind in two_vertex_cuts(g):
-        if kind == "non_isolating" and (best is None or (u, v) < best):
-            best = (u, v)
-    return best
+    # two_vertex_cuts lists its pairs in lexicographic order
+    return next((pair for pair, kind in two_vertex_cuts(g)
+                 if kind == "non_isolating"), None)
 
 
 def partition_non_isolating(g: Graph, u: int, v: int) -> CutPartition:
@@ -314,8 +312,8 @@ def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT,
     if g.n < Fraction(4) / (alpha - 1):
         return StructureReport(False, "too_small", g.n)
     if not is_2vc(g):
-        return StructureReport(False, "not_2vc",
-                               min(cut_vertices(g)) if cut_vertices(g) else None)
+        cuts = cut_vertices(g)
+        return StructureReport(False, "not_2vc", min(cuts) if cuts else None)
     ir = find_irrelevant_edge(g)
     if ir is not None:
         return StructureReport(False, "irrelevant_edge", ir)

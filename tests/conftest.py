@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from twoec.graph import Graph
+from twoec.graph import Edge, Graph
 
 
 def random_2ec_graph(rng, n, extra=None):
@@ -33,6 +34,21 @@ def gnp_2ec(rng, n, p, max_tries=2000):
         if is_2ec(g):
             return g
     raise RuntimeError("could not sample a 2EC graph")
+
+
+def random_multigraph(rng, n, m):
+    """Random multigraph on 0..n-1 with m edges; loops and parallels allowed."""
+    return Graph(range(n), [Edge(i, rng.randrange(n), rng.randrange(n))
+                            for i in range(m)])
+
+
+@st.composite
+def small_graphs(draw):
+    """Multigraphs on up to 8 vertices, loops and parallel edges included."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=16))
+    return Graph(range(n), [Edge(i, u, v) for i, (u, v) in enumerate(chosen)])
 
 
 @pytest.fixture

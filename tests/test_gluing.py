@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from twoec.cover import canonicalize, cover_cost, initial_cover
 from twoec.bridge_cover import cover_all
@@ -12,7 +14,7 @@ from twoec.gluing import (GlueContext, _anchored_cycle, _blocks_of,
                           shortcut_c4_local_c5, shortcut_edge)
 from twoec.graph import Edge, Graph, components, is_2ec
 
-from conftest import random_2ec_graph
+from conftest import random_2ec_graph, small_graphs
 
 
 def ring(vs, first_id):
@@ -42,6 +44,25 @@ class TestBlocks:
     def test_doubled_bridge_is_still_one_block(self):
         g = mk(2, [Edge(0, 0, 1), Edge(1, 0, 1)])
         assert _blocks_of(g) == [frozenset({0, 1})]
+
+    def test_ties_ordered_by_sorted_vertices(self):
+        # two 4-cycles through vertex 0; the DFS closes {0,2,7,8} first,
+        # the sorted vertex lists put {0,1,3,6} first
+        g = mk(9, ring([0, 2, 7, 8], 0) + ring([0, 3, 1, 6], 4))
+        assert _blocks_of(g) == [frozenset({0, 1, 3, 6}),
+                                 frozenset({0, 2, 7, 8})]
+
+    @given(small_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx(self, g):
+        simple = nx.Graph()
+        simple.add_nodes_from(g.vertices)
+        simple.add_edges_from((e.u, e.v) for e in g.edges() if not e.is_loop())
+        got = _blocks_of(g)
+        assert len(got) == len(set(got))
+        assert set(got) == {frozenset(c)
+                            for c in nx.biconnected_components(simple)}
+        assert got == sorted(got, key=lambda b: (min(b), len(b), sorted(b)))
 
 
 class TestHamiltonianPairs:

@@ -3,16 +3,16 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from twoec.graph import (
-    Edge, Graph, bridges, component_graph, components, cut_vertices,
-    cycle_through_two, find_cross_matching, find_irrelevant_edge,
-    hamiltonian_path, is_2ec, is_2vc, is_connected, path_avoiding,
-    two_ec_blocks, two_vertex_cuts,
+    Edge, Graph, biconnected_blocks, bridges, component_graph, components,
+    connected_subsets, cut_vertices, cycle_through_two, find_cross_matching,
+    find_irrelevant_edge, hamiltonian_path, is_2ec, is_2vc, is_connected,
+    path_avoiding, two_ec_blocks, two_vertex_cuts,
 )
 
-from conftest import random_2ec_graph
+from conftest import random_2ec_graph, random_multigraph, small_graphs
 
 
 def c_n(n):
@@ -25,14 +25,6 @@ def to_nx(g):
     for e in g.edges():
         G.add_edge(e.u, e.v, key=e.id)
     return G
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=16))
-    return Graph(range(n), [Edge(i, u, v) for i, (u, v) in enumerate(chosen)])
 
 
 class TestBasics:
@@ -90,6 +82,17 @@ class TestConnectivity:
                 want.add(v)
         assert got == want
 
+    @given(small_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_block_edges(self, g):
+        # vertex sets are checked against networkx in test_gluing; here every
+        # non-loop edge lies in exactly one block, whose vertices it spans
+        blocks = biconnected_blocks(g)
+        placed = [eid for _vs, es in blocks for eid in es]
+        assert sorted(placed) == [e.id for e in g.edges() if not e.is_loop()]
+        for vs, es in blocks:
+            assert vs == {x for eid in es for x in g.edge(eid).ends}
+
     def test_is_2ec_conventions(self):
         assert is_2ec(Graph([7], []))
         assert is_2ec(c_n(3))
@@ -134,15 +137,24 @@ class TestCuts:
         assert dict(two_vertex_cuts(c_n(4)))[(0, 2)] == "isolating"
 
     def test_two_vertex_cuts_bruteforce(self, rng):
-        for _ in range(30):
-            n = rng.randint(4, 10)
-            g = random_2ec_graph(rng, n, extra=rng.randint(0, 3))
-            for (u, v), cls in two_vertex_cuts(g):
-                h = g.without_vertices([u, v])
-                comps = components(h)
-                assert len(comps) >= 2
-                isolating = len(comps) == 2 and min(map(len, comps)) == 1
-                assert cls == ("isolating" if isolating else "non_isolating")
+        def brute(g):
+            out = []
+            for u, v in itertools.combinations(g.vertices, 2):
+                comps = components(g.without_vertices([u, v]))
+                if len(comps) >= 2:
+                    isolating = len(comps) == 2 and min(map(len, comps)) == 1
+                    out.append(((u, v),
+                                "isolating" if isolating else "non_isolating"))
+            return out
+
+        graphs = [random_2ec_graph(rng, rng.randint(4, 10),
+                                   extra=rng.randint(0, 3)) for _ in range(30)]
+        graphs += [random_multigraph(rng, rng.randint(3, 9), rng.randint(2, 14))
+                   for _ in range(60)]
+        # some u must leave g - u disconnected, so the full scan runs too
+        assert sum(1 for g in graphs if cut_vertices(g)) >= 10
+        for g in graphs:
+            assert two_vertex_cuts(g) == brute(g)
 
     def test_irrelevant_edge(self):
         # diamond: K4 minus one edge; edge 0-2 connects the two cut vertices
@@ -154,6 +166,27 @@ class TestCuts:
         # cycles have 2-cuts but no edge between the cut pair
         assert find_irrelevant_edge(c_n(4)) is None
         assert find_irrelevant_edge(c_n(5)) is None
+
+
+class TestConnectedSubsets:
+    def test_matches_bruteforce(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            g = random_multigraph(rng, n, rng.randint(0, 12))
+            k = rng.randint(1, 6)
+            got = list(connected_subsets(g, k))
+            assert len(got) == len(set(got))
+            want = {frozenset(c) for r in range(1, k + 1)
+                    for c in itertools.combinations(g.vertices, r)
+                    if is_connected(g.induced(c))}
+            assert set(got) == want
+
+    def test_order(self):
+        # grouped by ascending minimum vertex; each set before its extensions
+        got = list(connected_subsets(c_n(4), 3))
+        assert got == [frozenset(s) for s in (
+            {0}, {0, 1}, {0, 1, 3}, {0, 1, 2}, {0, 3}, {0, 2, 3},
+            {1}, {1, 2}, {1, 2, 3}, {2}, {2, 3}, {3})]
 
 
 class TestComponentGraph:

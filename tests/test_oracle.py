@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import twoec
 from twoec.graph import Edge, Graph, is_2ec, components
+from twoec.harness import generate, solve
 from twoec.oracle import (
     OracleBudget, check_cover_matching_identity, classify_type,
     find_contractible_subgraph, is_alpha_contractible, max_tf2matching,
@@ -97,6 +102,29 @@ class TestMin2ecss:
         with pytest.raises(OracleBudgetError):
             min_2ecss(c_n(20), OracleBudget(vertex_cap=16))
 
+    def test_runs_without_networkx(self):
+        # the solver must not need the test-only networkx package
+        cases = [("gnp_2ec", 10), ("dumbbell", 12)]
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from twoec.harness import generate, solve\n"
+            "from twoec.oracle import min_2ecss\n"
+            f"for family, n in {cases!r}:\n"
+            "    g = generate(family, n, 1)\n"
+            "    print(sorted(min_2ecss(g)), sorted(solve(g)[0]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(twoec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        want = []
+        for family, n in cases:
+            g = generate(family, n, 1)
+            want.append(f"{sorted(min_2ecss(g))} {sorted(solve(g)[0])}")
+        assert proc.stdout.splitlines() == want
+
 
 class TestMinTf2ec:
     def test_triangle_avoided(self):
@@ -185,6 +213,17 @@ class TestContractibility:
         # contractible by the definition. Use C9 so subsets stay < 9.
         g = c_n(9)
         assert find_contractible_subgraph(g, Fraction(5, 4)) is None
+
+    def test_subset_budget(self):
+        # C9 has 9 * 8 = 72 connected vertex sets of at most 8 vertices
+        assert find_contractible_subgraph(
+            c_n(9), Fraction(5, 4), OracleBudget(subset_budget=72)) is None
+        with pytest.raises(OracleBudgetError):
+            find_contractible_subgraph(c_n(9), Fraction(5, 4),
+                                       OracleBudget(subset_budget=71))
+        with pytest.raises(OracleBudgetError):
+            find_contractible_subgraph(c_n(9), Fraction(5, 4),
+                                       OracleBudget(subset_budget=10))
 
     def test_monotone_in_alpha(self, rng):
         for _ in range(8):

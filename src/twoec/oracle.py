@@ -9,8 +9,10 @@ The bounds, all computed from degrees with the standard library only:
 
 - `min_2ecss` / `min_inner_edges`: every vertex ends with degree >= 2, so
   half of sum_v max(2, committed degree of v), less the free edges, bounds
-  the kept count from below; with no free edge that is n. Greedy removal
-  passes give the upper bound, and the search deepens from the lower.
+  the kept count from below; with no free edge that is n. The search
+  deepens from there and needs no upper bound: keeping every edge is a
+  solution, so the first feasible count is the optimum and comes at the
+  latest at the edge count.
 - `min_tf2ec` and `opt_type`: kept edges plus half the remaining degree
   deficiency.
 - `max_tf2matching`: kept edges plus half the remaining degree room.
@@ -50,13 +52,17 @@ def _check_deadline(deadline: Optional[float]) -> None:
 # -- minimum 2EC spanning subgraph ----------------------------------------
 
 
-def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None) -> FrozenSet[int]:
+def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None,
+              deadline: Optional[float] = None) -> FrozenSet[int]:
     """Minimum-cardinality 2EC spanning subgraph of g, exact.
 
     Raises OracleBudgetError above the vertex cap, OracleTimeout past the
-    time cap. g must be 2EC.
+    time cap, or past `deadline` (a `time.monotonic` instant) when one is
+    given in its place. g must be 2EC.
     """
     budget = budget or DEFAULT_BUDGET
+    if deadline is None:
+        deadline = budget.deadline()
     if g.n > budget.vertex_cap:
         raise OracleBudgetError(
             f"min_2ecss called with n={g.n} > cap {budget.vertex_cap}")
@@ -64,7 +70,7 @@ def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None) -> FrozenSet[int]
         raise ValueError("min_2ecss input must be 2EC")
     if g.n <= 2:
         return _lex_min_trivial(g)
-    return _min_inner_2ec(g, frozenset(), g.edge_ids(), None, budget.deadline())[1]
+    return _min_inner_2ec(g, frozenset(), g.edge_ids(), None, deadline)[1]
 
 
 def _lex_min_trivial(g: Graph) -> FrozenSet[int]:
@@ -182,43 +188,12 @@ def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
     keep-first DFS per target so the first hit is the lexicographically
     smallest witness of the optimum.
     """
-    all_ids = g.edge_ids()
     arr = _EdgeArrays(g)
     if not arr.is_2ec_now():
         raise _NoSolution
     asc = [arr.pos[eid] for eid in sorted(inner)]
-    n_free = len(all_ids) - len(inner)
+    n_free = g.m - len(inner)
     n_steps = [0]
-
-    def removable(i: int) -> bool:
-        if arr.n >= 2 and (arr.deg[arr.eu[i]] <= 2 or arr.deg[arr.ev[i]] <= 2):
-            return False
-        arr.remove(i)
-        ok = arr.is_2ec_now()
-        arr.restore(i)
-        return ok
-
-    def greedy(seq: List[int]) -> int:
-        removed: List[int] = []
-        for i in seq:
-            if removable(i):
-                arr.remove(i)
-                removed.append(i)
-        for i in removed:
-            arr.restore(i)
-        return len(removed)
-
-    # Upper bound from a few deterministic greedy passes (fixed-seed
-    # shuffles included, so repeated runs agree).
-    import random as _random
-    seqs = [list(reversed(asc)), list(asc),
-            sorted(asc, key=lambda i: -(arr.deg[arr.eu[i]] + arr.deg[arr.ev[i]]))]
-    shuf_rng = _random.Random(0x2EC)
-    for _ in range(5):
-        s = list(asc)
-        shuf_rng.shuffle(s)
-        seqs.append(s)
-    ub = len(inner) - max(greedy(seq) for seq in seqs)
 
     # Committed degrees: free edges plus kept edges. The bound sum tracks
     # sum_v max(2, cd[v]), a floor on twice the final committed edge count
@@ -273,7 +248,9 @@ def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
             arr.restore(i)
         return ok
 
-    hi = ub if cap is None else min(ub, cap)
+    # Keeping every inner edge is a solution (checked on entry), so the
+    # deepening stops by len(inner) at the latest; a cap only cuts it short.
+    hi = len(inner) if cap is None else cap
     for k in range(lb, hi + 1):
         if dfs(0, k):
             chosen = frozenset(arr.eids[i] for i in kept)
@@ -531,6 +508,20 @@ def is_alpha_contractible(g: Graph, c: Graph, alpha: Fraction,
     return min_inner_edges(g, inner, cap, deadline) is None
 
 
+def _two_ends_each(w: FrozenSet[int], far: Dict[int, List[int]]) -> bool:
+    """Does every vertex of w have at least two entries of `far` in w?"""
+    for v in w:
+        ends = 0
+        for x in far[v]:
+            if x in w:
+                ends += 1
+                if ends == 2:
+                    break
+        else:
+            return False
+    return True
+
+
 def find_contractible_subgraph(g: Graph, alpha: Fraction,
                                budget: Optional[OracleBudget] = None
                                ) -> Optional[Graph]:
@@ -541,33 +532,36 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     order); for each set W whose induced graph is 2EC, tests whether the
     minimum 2EC spanning subgraph C of g[W] is contractible, i.e. whether no
     H' ⊆ E(g[W]) with |H'| < |E(C)|/alpha restores 2EC of g with g[W]'s
-    edges dropped. Budget-guarded; exhaustion is fatal.
+    edges dropped. Before g[W] is built, W must pass a degree filter read
+    off g's adjacency: every vertex of W needs two non-loop edges to W, as
+    in every 2EC graph on three or more vertices (a lone one is a bridge).
+    Budget- and time-guarded, with one deadline for the whole search;
+    exhaustion is fatal.
     """
     budget = budget or DEFAULT_BUDGET
+    deadline = budget.deadline()
     kmax_frac = Fraction(2) / (alpha - 1)
     kmax = math.floor(kmax_frac)
+    far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
+           for v in g.vertices}
     examined = 0
     for w in connected_subsets(g, kmax):
         examined += 1
         if examined > budget.subset_budget:
             raise OracleBudgetError(
                 "connected-subset enumeration budget exhausted")
-        if len(w) < 3:
+        _check_deadline(deadline)
+        if len(w) < 3 or not _two_ends_each(w, far):
             continue
         sub = g.induced(w)
-        # cheap filters before the expensive test
-        if sub.m < len(w):
-            continue
-        if any(sub.degree(v) < 2 for v in w):
-            continue
         if not is_2ec(sub):
             continue
-        c_edges = min_2ecss(sub, OracleBudget(vertex_cap=kmax))
+        c_edges = min_2ecss(sub, OracleBudget(vertex_cap=kmax), deadline)
         c = g.subgraph(c_edges, w)
         threshold = Fraction(len(c_edges)) / alpha
         cap = math.ceil(threshold) - 1
         inner = [e.id for e in sub.edges()]
-        if cap < 0 or min_inner_edges(g, inner, cap) is None:
+        if cap < 0 or min_inner_edges(g, inner, cap, deadline) is None:
             return c
     return None
 

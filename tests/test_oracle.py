@@ -6,18 +6,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import twoec
-from twoec.graph import Edge, Graph, is_2ec, components
+from twoec.graph import Edge, Graph, connected_subsets, is_2ec, components
 from twoec.harness import generate, solve
 from twoec.oracle import (
     OracleBudget, check_cover_matching_identity, classify_type,
     find_contractible_subgraph, is_alpha_contractible, max_tf2matching,
-    min_2ecss, min_tf2ec, opt_type,
+    min_2ecss, min_inner_edges, min_tf2ec, opt_type,
 )
-from twoec.errors import OracleBudgetError
+from twoec.errors import OracleBudgetError, OracleTimeout
 
-from conftest import random_2ec_graph
+from conftest import random_2ec_graph, small_graphs
 
 
 def c_n(n):
@@ -126,6 +127,29 @@ class TestMin2ecss:
         assert proc.stdout.splitlines() == want
 
 
+class TestMinInnerEdges:
+    @staticmethod
+    def brute(g, inner):
+        """Fewest inner edges that, with every other edge, give a 2EC
+        spanning subgraph; ties to the lexicographically smallest set."""
+        free = set(g.edge_ids()) - set(inner)
+        for k in range(len(inner) + 1):
+            for combo in itertools.combinations(sorted(inner), k):
+                if is_2ec(g.spanning(free | set(combo))):
+                    return k, frozenset(combo)
+        raise AssertionError("input not 2EC")
+
+    def test_matches_bruteforce(self, rng):
+        for _ in range(40):
+            g = random_2ec_graph(rng, rng.randint(4, 7))
+            eids = g.edge_ids()
+            inner = rng.sample(eids, rng.randint(0, min(len(eids), 9)))
+            opt, witness = self.brute(g, inner)
+            assert min_inner_edges(g, inner, None) == (opt, witness)
+            assert min_inner_edges(g, inner, opt) == (opt, witness)
+            assert min_inner_edges(g, inner, opt - 1) is None
+
+
 class TestMinTf2ec:
     def test_triangle_avoided(self):
         # bowtie: two triangles sharing vertex 2
@@ -224,6 +248,35 @@ class TestContractibility:
         with pytest.raises(OracleBudgetError):
             find_contractible_subgraph(c_n(9), Fraction(5, 4),
                                        OracleBudget(subset_budget=10))
+
+    def test_time_cap_reaches_search(self):
+        g = generate("gnp_2ec", 17, 3, density=0.2)
+        with pytest.raises(OracleTimeout):
+            find_contractible_subgraph(g, Fraction(5, 4),
+                                       OracleBudget(time_cap=0))
+
+    @given(small_graphs().filter(is_2ec))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unfiltered_reference(self, g):
+        # the first set W, in enumeration order, whose g[W] is 2EC and whose
+        # minimum 2EC spanning subgraph is contractible; no degree filter
+        alpha = Fraction(5, 4)
+        want = None
+        for w in connected_subsets(g, 8):
+            sub = g.induced(w)
+            if len(w) < 3 or not is_2ec(sub):
+                continue
+            c = g.subgraph(min_2ecss(sub), w)
+            if is_alpha_contractible(g, c, alpha):
+                want = c
+                break
+        got = find_contractible_subgraph(g, alpha)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.vertices, got.edge_ids()) == \
+                (want.vertices, want.edge_ids())
 
     def test_monotone_in_alpha(self, rng):
         for _ in range(8):

@@ -213,16 +213,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except (InternalContradiction, OracleBudgetError, OracleTimeout) as exc:
         print(f"internal: {exc}", file=sys.stderr)
         cex = getattr(exc, "counterexample", None)
         if cex is not None:
             print(f"counterexample: {cex!r}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

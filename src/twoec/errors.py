@@ -31,3 +31,4 @@ class OracleBudgetError(Exception):
 
 class OracleTimeout(Exception):
     """Per-instance oracle time cap exceeded."""
+    exit_code = 4

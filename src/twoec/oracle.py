@@ -5,15 +5,18 @@ Used inside the main algorithm (base cases, type optima, contractibility
 tests) and as ground truth in the acceptance suite. Ties among equal-size
 optima break to the lexicographically smallest edge-id set.
 
-The bounds, all computed from degrees with the standard library only:
+Three searches remain, with their bounds, all computed from degrees with
+the standard library only:
 
-- `min_2ecss` / `min_inner_edges`: every vertex ends with degree >= 2, so
-  half of sum_v max(2, committed degree of v), less the free edges, bounds
-  the kept count from below; with no free edge that is n. The search
-  deepens from there and needs no upper bound: keeping every edge is a
-  solution, so the first feasible count is the optimum and comes at the
-  latest at the edge count.
-- `min_tf2ec` and `opt_type`: kept edges plus half the remaining degree
+- `_min_inner_2ec`, the 2EC search behind `min_2ecss`, `min_inner_edges`
+  and `opt_type`: every vertex ends with degree >= 2, so half of
+  sum_v max(2, committed degree of v), less the free edges, bounds the
+  kept count from below; with no free edge that is n. The search deepens
+  from there and needs no upper bound: keeping every edge is a solution,
+  so the first feasible count is the optimum and comes at the latest at
+  the edge count. `opt_type` runs it with 0, 1 or 2 free virtual u–v
+  edges (types A, B, C) and a leaf test on the type.
+- `_Tf2ecSolver` (`min_tf2ec`): kept edges plus half the remaining degree
   deficiency.
 - `max_tf2matching`: kept edges plus half the remaining degree room.
 """
@@ -24,11 +27,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .errors import OracleBudgetError, OracleTimeout
-from .graph import (Graph, components, connected_subsets, is_2ec,
-                    is_connected, two_ec_blocks)
+from .graph import Edge, Graph, components, connected_subsets, is_2ec
 
 
 @dataclass
@@ -58,7 +61,7 @@ def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None,
 
     Raises OracleBudgetError above the vertex cap, OracleTimeout past the
     time cap, or past `deadline` (a `time.monotonic` instant) when one is
-    given in its place. g must be 2EC.
+    given in its place. g must be 2EC; ValueError otherwise.
     """
     budget = budget or DEFAULT_BUDGET
     if deadline is None:
@@ -66,19 +69,10 @@ def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None,
     if g.n > budget.vertex_cap:
         raise OracleBudgetError(
             f"min_2ecss called with n={g.n} > cap {budget.vertex_cap}")
-    if not is_2ec(g):
-        raise ValueError("min_2ecss input must be 2EC")
-    if g.n <= 2:
-        return _lex_min_trivial(g)
-    return _min_inner_2ec(g, frozenset(), g.edge_ids(), None, deadline)[1]
-
-
-def _lex_min_trivial(g: Graph) -> FrozenSet[int]:
-    if g.n <= 1:
-        return frozenset()
-    # two vertices: need two parallel edges
-    es = g.edge_ids()
-    return frozenset(es[:2])
+    try:
+        return _min_inner_2ec(g, frozenset(), g.edge_ids(), None, deadline)[1]
+    except _NoSolution:
+        raise ValueError("min_2ecss input must be 2EC") from None
 
 
 def min_inner_edges(g: Graph, inner: Sequence[int], cap: Optional[int],
@@ -181,12 +175,15 @@ class _EdgeArrays:
 
 
 def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
-                   cap: Optional[int], deadline: Optional[float]
+                   cap: Optional[int], deadline: Optional[float],
+                   accept: Optional[Callable[[List[int]], bool]] = None
                    ) -> Tuple[int, FrozenSet[int]]:
     """Core search: keep a subset of `inner` so free ∪ kept is 2EC spanning,
     minimizing |kept|. Iterative deepening on the kept count, with a
     keep-first DFS per target so the first hit is the lexicographically
-    smallest witness of the optimum.
+    smallest witness of the optimum. With `accept`, a leaf counts only if
+    accept(kept edge ids) also holds; a rejected leaf backtracks, so the
+    result is the smallest, then lex-first, accepted set.
     """
     arr = _EdgeArrays(g)
     if not arr.is_2ec_now():
@@ -222,7 +219,10 @@ def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
         if len(kept) > k or (bsum + 1) // 2 > n_free + k:
             return False
         if idx == len(asc):
-            return len(kept) == k and arr.is_2ec_now()
+            # free ∪ kept is 2EC: it is the availability graph, checked on
+            # entry and after every remove
+            return len(kept) == k and (
+                accept is None or accept([arr.eids[i] for i in kept]))
         if len(kept) + (len(asc) - idx) < k:
             return False
         i = asc[idx]
@@ -248,8 +248,9 @@ def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
             arr.restore(i)
         return ok
 
-    # Keeping every inner edge is a solution (checked on entry), so the
-    # deepening stops by len(inner) at the latest; a cap only cuts it short.
+    # Keeping every inner edge is 2EC (checked on entry), so without
+    # `accept` the deepening stops by len(inner) at the latest; a cap only
+    # cuts it short.
     hi = len(inner) if cap is None else cap
     for k in range(lb, hi + 1):
         if dfs(0, k):
@@ -569,6 +570,12 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
 # -- type classification and type optima ----------------------------------
 
 
+def _with_uv(g: Graph, u: int, v: int, k: int) -> Graph:
+    """g plus k virtual u–v edges, with ids above g's largest."""
+    top = max(g.edge_ids(), default=-1)
+    return g.with_edges([Edge(top + 1 + i, u, v) for i in range(k)])
+
+
 def classify_type(h: Graph, u: int, v: int) -> Optional[str]:
     """Type of spanning subgraph h w.r.t. the 2-cut pair {u, v}.
 
@@ -577,48 +584,15 @@ def classify_type(h: Graph, u: int, v: int) -> Optional[str]:
     components, each 2EC (possibly single vertices), one holding u, one v.
     None: anything else.
     """
-    comps = components(h)
-    if len(comps) == 1:
-        if is_2ec(h):
-            return "A"
-        # candidate for B: block path with u, v at the ends
-        dec = two_ec_blocks(h)
-        # build the bridge tree over super-nodes
-        node_of: Dict[int, int] = {}
-        for bi, (vs, _es) in enumerate(dec.blocks):
-            for x in vs:
-                node_of[x] = bi
-        next_id = len(dec.blocks)
-        for x in dec.lonely:
-            node_of[x] = next_id
-            next_id += 1
-        deg: Dict[int, int] = {i: 0 for i in range(next_id)}
-        seen_pairs = set()
-        for beid in dec.bridge_ids:
-            e = h.edge(beid)
-            a, b = node_of[e.u], node_of[e.v]
-            deg[a] += 1
-            deg[b] += 1
-            seen_pairs.add((min(a, b), max(a, b)))
-        if len(seen_pairs) != len(dec.bridge_ids):
-            return None  # parallel bridges impossible anyway
-        # path: all degrees <= 2, exactly two endpoints of degree 1 (or a
-        # single node), u and v in the end super-nodes
-        ends = [i for i, d in deg.items() if d == 1]
-        if any(d > 2 for d in deg.values()) or len(ends) != 2:
-            return None
-        eu, ev = node_of[u], node_of[v]
-        if {eu, ev} == set(ends):
-            return "B"
-        return None
-    if len(comps) == 2:
-        cu = next((c for c in comps if u in c), None)
-        cv = next((c for c in comps if v in c), None)
-        if cu is None or cv is None or cu is cv:
-            return None
-        for c in comps:
-            if not is_2ec(h.induced(c)):
-                return None
+    # h + uv is 2EC exactly when every bridge of h separates u from v, that
+    # is when the bridge tree is a u–v path; h + 2·uv is 2EC exactly when h
+    # is two 2EC components split by {u, v}.
+    if is_2ec(h):
+        return "A"
+    n_comps = len(components(h))
+    if n_comps == 1 and is_2ec(_with_uv(h, u, v, 1)):
+        return "B"
+    if n_comps == 2 and is_2ec(_with_uv(h, u, v, 2)):
         return "C"
     return None
 
@@ -646,46 +620,14 @@ def opt_type(g1: Graph, u: int, v: int, t: str,
 
 def _opt_typed(g1: Graph, u: int, v: int, t: str,
                deadline: Optional[float]) -> Optional[FrozenSet[int]]:
-    eids = g1.edge_ids()
-    best: List[Optional[List[int]]] = [None]
-    steps = [0]
-    # per-type degree targets for u and v
-    uv_target = {"A": 2, "B": 1, "C": 0}[t]
-
-    def lower_bound(kept: List[int]) -> int:
-        sub = g1.spanning(kept)
-        deficiency = 0
-        for w in g1.vertices:
-            target = 2 if w not in (u, v) else uv_target
-            d = sub.degree(w)
-            if d < target:
-                deficiency += target - d
-        return len(kept) + (deficiency + 1) // 2
-
-    def dfs(idx: int, kept: List[int]) -> None:
-        steps[0] += 1
-        if steps[0] % 256 == 0:
-            _check_deadline(deadline)
-        cur_best = best[0]
-        if cur_best is not None and lower_bound(kept) > len(cur_best):
-            return
-        avail = g1.spanning(kept + eids[idx:])
-        for w in g1.vertices:
-            target = 2 if w not in (u, v) else uv_target
-            if avail.degree(w) < target:
-                return
-        if t in ("A", "B") and not is_connected(avail):
-            return
-        if idx == len(eids):
-            if classify_type(g1.spanning(kept), u, v) == t:
-                ks = sorted(kept)
-                if cur_best is None or len(ks) < len(cur_best) or \
-                        (len(ks) == len(cur_best) and ks < cur_best):
-                    best[0] = ks
-            return
-        # remove-first: small solutions early
-        dfs(idx + 1, kept)
-        dfs(idx + 1, kept + [eids[idx]])
-
-    dfs(0, [])
-    return None if best[0] is None else frozenset(best[0])
+    # Every type-t h is 2EC spanning once 0 (A), 1 (B) or 2 (C) virtual u–v
+    # edges are added, so the 2EC search over g1's edges with the virtual
+    # ones free never prunes one; `accept` drops the 2EC leaves of another
+    # type, and the first accepted leaf is the (size, lex) minimum.
+    g = _with_uv(g1, u, v, "ABC".index(t))
+    try:
+        return _min_inner_2ec(
+            g, g.edge_set() - g1.edge_set(), g1.edge_ids(), None, deadline,
+            accept=lambda kept: classify_type(g1.spanning(kept), u, v) == t)[1]
+    except _NoSolution:
+        return None

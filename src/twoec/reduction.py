@@ -94,58 +94,64 @@ def _small_threshold(alpha: Fraction) -> Fraction:
 def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
          budget: OracleBudget, trace: ReductionTrace,
          ids: Iterator[int]) -> FrozenSet[int]:
-    n = g.n
+    # The parallel_loop and irrelevant rules drop one edge and go round
+    # again rather than recurse, so many loops or parallel edges cannot
+    # reach the recursion limit; the other rules recurse on smaller graphs.
+    while True:
+        n = g.n
 
-    if n <= _small_threshold(alpha):
-        trace.record("brute_force", g)
-        cap = max(budget.vertex_cap, math.floor(_small_threshold(alpha)))
-        return min_2ecss(g, OracleBudget(cap, budget.time_cap,
-                                         budget.subset_budget))
+        if n <= _small_threshold(alpha):
+            trace.record("brute_force", g)
+            cap = max(budget.vertex_cap, math.floor(_small_threshold(alpha)))
+            return min_2ecss(g, OracleBudget(cap, budget.time_cap,
+                                             budget.subset_budget))
 
-    cuts1 = cut_vertices(g)
-    if cuts1:
-        v = min(cuts1)
-        comps = components(g.without_vertices({v}))
-        v1 = set(comps[0])
-        v2 = set().union(*comps[1:])
-        trace.record("one_cut", g, witness=(v,))
-        s1 = _red(g.induced(v1 | {v}), alpha, alg, budget, trace, ids)
-        s2 = _red(g.induced(v2 | {v}), alpha, alg, budget, trace, ids)
-        return s1 | s2
+        cuts1 = cut_vertices(g)
+        if cuts1:
+            v = min(cuts1)
+            comps = components(g.without_vertices({v}))
+            v1 = set(comps[0])
+            v2 = set().union(*comps[1:])
+            trace.record("one_cut", g, witness=(v,))
+            s1 = _red(g.induced(v1 | {v}), alpha, alg, budget, trace, ids)
+            s2 = _red(g.induced(v2 | {v}), alpha, alg, budget, trace, ids)
+            return s1 | s2
 
-    e = _parallel_or_loop(g)
-    if e is not None:
-        trace.record("parallel_loop", g, witness=(e.id,))
-        return _red(g.without_edges([e.id]), alpha, alg, budget, trace, ids)
+        e = _parallel_or_loop(g)
+        if e is not None:
+            trace.record("parallel_loop", g, witness=(e.id,))
+            g = g.without_edges([e.id])
+            continue
 
-    ir = find_irrelevant_edge(g)
-    if ir is not None:
-        trace.record("irrelevant", g, witness=(ir.id,))
-        return _red(g.without_edges([ir.id]), alpha, alg, budget, trace, ids)
+        ir = find_irrelevant_edge(g)
+        if ir is not None:
+            trace.record("irrelevant", g, witness=(ir.id,))
+            g = g.without_edges([ir.id])
+            continue
 
-    h = find_contractible_subgraph(g, alpha, budget)
-    if h is not None:
-        gc, _vmap = g.contract(h.vertices)
-        trace.record("contract", g, witness=tuple(sorted(h.vertices)))
-        rec = _red(gc, alpha, alg, budget, trace, ids)
-        return frozenset(h.edge_set() | rec)
+        h = find_contractible_subgraph(g, alpha, budget)
+        if h is not None:
+            gc, _vmap = g.contract(h.vertices)
+            trace.record("contract", g, witness=tuple(sorted(h.vertices)))
+            rec = _red(gc, alpha, alg, budget, trace, ids)
+            return frozenset(h.edge_set() | rec)
 
-    pair = _smallest_non_isolating_cut(g)
-    if pair is not None:
-        cut = partition_non_isolating(g, *pair)
-        return handle_two_cut(g, cut, alpha, alg, budget=budget, trace=trace,
-                              ids=ids)
+        pair = _smallest_non_isolating_cut(g)
+        if pair is not None:
+            cut = partition_non_isolating(g, *pair)
+            return handle_two_cut(g, cut, alpha, alg, budget=budget,
+                                  trace=trace, ids=ids)
 
-    if alg is None:
-        raise InternalContradiction("structured instance but no solver given",
-                                    counterexample=g)
-    trace.record("dispatch_alg", g)
-    trace.dispatched.append(g)
-    sol = alg(g)
-    if not is_2ec(g.spanning(sol)):
-        raise InternalContradiction("structured solver output not 2EC",
-                                    counterexample=g)
-    return frozenset(sol)
+        if alg is None:
+            raise InternalContradiction(
+                "structured instance but no solver given", counterexample=g)
+        trace.record("dispatch_alg", g)
+        trace.dispatched.append(g)
+        sol = alg(g)
+        if not is_2ec(g.spanning(sol)):
+            raise InternalContradiction("structured solver output not 2EC",
+                                        counterexample=g)
+        return frozenset(sol)
 
 
 def _parallel_or_loop(g: Graph) -> Optional[Edge]:

@@ -182,6 +182,15 @@ class TestCli:
         assert code == 2
         assert "infeasible" in err
 
+    def test_oracle_timeout_exit_code(self, tmp_path, capsys):
+        inst = tmp_path / "i.txt"
+        self.run(["gen", "gnp_2ec", "--n", "17", "--seed", "3",
+                  "--out", str(inst)], capsys)
+        code, _, err = self.run(["solve", str(inst), "--oracle-time-cap", "0"],
+                                capsys)
+        assert code == 4
+        assert "oracle time cap exceeded" in err
+
     def test_oracle_subcommand(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
         self.run(["gen", "hamiltonian_plus_chords", "--n", "9", "--seed", "0",

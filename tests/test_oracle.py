@@ -3,13 +3,15 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import twoec
-from twoec.graph import Edge, Graph, connected_subsets, is_2ec, components
+from twoec.graph import (Edge, Graph, connected_subsets, is_2ec, components,
+                         two_ec_blocks)
 from twoec.harness import generate, solve
 from twoec.oracle import (
     OracleBudget, check_cover_matching_identity, classify_type,
@@ -18,7 +20,7 @@ from twoec.oracle import (
 )
 from twoec.errors import OracleBudgetError, OracleTimeout
 
-from conftest import random_2ec_graph, small_graphs
+from conftest import random_2ec_graph, random_multigraph, small_graphs
 
 
 def c_n(n):
@@ -32,7 +34,8 @@ def k_n(n):
 def brute_min_2ecss(g):
     """Reference: exhaustive subset enumeration, smallest size then lex."""
     eids = g.edge_ids()
-    for k in range(g.n, len(eids) + 1):
+    # a 2EC spanning subgraph on n >= 2 vertices has at least n edges
+    for k in range(g.n if g.n >= 2 else 0, len(eids) + 1):
         for combo in itertools.combinations(eids, k):
             if is_2ec(g.spanning(combo)):
                 return frozenset(combo)
@@ -98,6 +101,23 @@ class TestMin2ecss:
             want = brute_min_2ecss(g)
             assert len(got) == len(want)
             assert sorted(got) == sorted(want)  # lex tie-break agreement
+
+    @given(small_graphs().filter(is_2ec))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce_on_multigraphs(self, g):
+        # n <= 2, loops and parallel edges included
+        assert min_2ecss(g) == brute_min_2ecss(g)
+
+    @given(small_graphs().filter(lambda g: not is_2ec(g)))
+    @settings(max_examples=50, deadline=None)
+    def test_rejects_graphs_that_are_not_2ec(self, g):
+        with pytest.raises(ValueError):
+            min_2ecss(g)
+
+    def test_two_vertex_loop_is_not_kept(self):
+        # the two smallest ids are an edge and a loop: not 2EC
+        g = Graph.from_edge_list(2, [(0, 1), (0, 0), (0, 1)])
+        assert min_2ecss(g) == frozenset({0, 2})
 
     def test_vertex_cap(self):
         with pytest.raises(OracleBudgetError):
@@ -341,3 +361,80 @@ class TestTypes:
             h1 = g.induced(side1).spanning(
                 [e for e in opt if g.edge(e).u in side1 and g.edge(e).v in side1])
             assert classify_type(h1, u, v) in ("A", "B", "C")
+
+    @staticmethod
+    def brute_typed(g1, u, v):
+        """(size, lex)-first edge subset of g1 of each type, exhaustively."""
+        found = {}
+        eids = g1.edge_ids()
+        for k in range(len(eids) + 1):
+            for combo in itertools.combinations(eids, k):
+                t = classify_type(g1.spanning(combo), u, v)
+                if t is not None:
+                    found.setdefault(t, frozenset(combo))
+        return found
+
+    def test_opt_type_matches_bruteforce(self, rng):
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            g1 = random_multigraph(rng, n, rng.randint(0, 10))
+            u, v = rng.sample(range(n), 2)
+            want = self.brute_typed(g1, u, v)
+            for t in "ABC":
+                assert opt_type(g1, u, v, t) == want.get(t)
+
+    def test_opt_type_with_full_graph(self, rng):
+        # side 2 holds u, v and fresh vertices; opt_type answers None unless
+        # it admits a compatible type
+        for _ in range(60):
+            n1, n2 = rng.randint(2, 6), rng.randint(1, 3)
+            g1 = random_multigraph(rng, n1, rng.randint(0, 9))
+            u, v = rng.sample(range(n1), 2)
+            side2 = [u, v] + list(range(n1, n1 + n2))
+            extra = []
+            for i in range(rng.randint(0, 6)):
+                a = rng.randrange(n1, n1 + n2)
+                extra.append(Edge(g1.m + i, a, rng.choice(side2)))
+            g_full = g1.with_edges(extra, extra_vertices=side2[2:])
+            g2 = g_full.without_vertices(set(g1.vertices) - {u, v})
+            want = self.brute_typed(g1, u, v)
+            for t in "ABC":
+                ok = is_2ec(g2) if t == "C" else \
+                    block_path_type(g2, u, v) in ("A", "B")
+                expect = want.get(t) if ok else None
+                assert opt_type(g1, u, v, t, g_full=g_full) == expect
+
+    @given(small_graphs().filter(lambda g: g.n >= 2), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_classify_matches_block_path_reference(self, h, data):
+        u, v = data.draw(st.lists(st.sampled_from(h.vertices), min_size=2,
+                                  max_size=2, unique=True))
+        assert classify_type(h, u, v) == block_path_type(h, u, v)
+
+
+def block_path_type(h, u, v):
+    """classify_type from its definition: A if h is one 2EC piece; B if the
+    bridge tree over h's 2EC blocks is a path with u and v in its two end
+    super-nodes; C if h is two 2EC components, one holding u, one v."""
+    comps = components(h)
+    if len(comps) == 2:
+        split = any(u in c and v not in c for c in comps)
+        return "C" if split and all(is_2ec(h.induced(c)) for c in comps) \
+            else None
+    if len(comps) != 1:
+        return None
+    dec = two_ec_blocks(h)
+    if not dec.bridge_ids:
+        return "A"
+    node = {x: i for i, (vs, _es) in enumerate(dec.blocks) for x in vs}
+    node.update({x: ("lonely", x) for x in dec.lonely})
+    deg = Counter()
+    for b in dec.bridge_ids:
+        e = h.edge(b)
+        deg[node[e.u]] += 1
+        deg[node[e.v]] += 1
+    # a tree with no degree above 2 is a path; its ends have degree 1
+    ends = {x for x, d in deg.items() if d == 1}
+    if max(deg.values()) > 2 or {node[u], node[v]} != ends:
+        return None
+    return "B"

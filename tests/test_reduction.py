@@ -4,6 +4,7 @@ import pytest
 
 from twoec.errors import InfeasibleError
 from twoec.graph import Graph, is_2ec
+from twoec.harness import solve
 from twoec.oracle import OracleBudget, min_2ecss
 from twoec.reduction import (CutPartition, handle_two_cut, is_structured,
                              partition_non_isolating, reduce)
@@ -76,6 +77,21 @@ class TestReduceSmall:
         g = Graph.from_edge_list(7, k4a + k4b)
         sol, _ = reduce(g)
         assert len(sol) == 8 == len(min_2ecss(g))
+
+    def test_one_cut_hands_loop_pair_to_oracle(self):
+        # vertex 17 hangs off 0 by edges 17 and 19 and carries loop 18; the
+        # one-cut rule solves {0, 17} exactly, which must skip the loop
+        g = Graph.from_edge_list(18, cycle(17) + [(0, 17), (17, 17), (0, 17)])
+        sol, report = solve(g)
+        assert sorted(sol) == list(range(17)) + [17, 19]
+        assert report["verdict"] == "OK"
+
+    def test_many_loops_do_not_recurse(self):
+        # one parallel_loop step per loop, taken in a loop, not a recursion
+        g = Graph.from_edge_list(17, cycle(17) + [(0, 0)] * 1100)
+        sol, trace = reduce(g)
+        assert sol == frozenset(range(17))
+        assert sum(s.rule == "parallel_loop" for s in trace.steps) == 1100
 
 
 class TestReduceRules:

@@ -16,8 +16,10 @@ the standard library only:
   so the first feasible count is the optimum and comes at the latest at
   the edge count. `opt_type` runs it with 0, 1 or 2 free virtual u–v
   edges (types A, B, C) and a leaf test on the type.
-- `_Tf2ecSolver` (`min_tf2ec`): kept edges plus half the remaining degree
-  deficiency.
+- `min_tf2ec`: kept edges plus half the summed degree deficiency, kept
+  in O(1) on mutable edge arrays with an undo trail. It deepens from
+  that bound like `_min_inner_2ec`, with unit propagation and a
+  triangle test at the leaves, so its first cover is the answer.
 - `max_tf2matching`: kept edges plus half the remaining degree room.
 """
 
@@ -269,155 +271,126 @@ def min_tf2ec(g: Graph, forced: Iterable[int] = (),
               deadline: Optional[float] = None) -> FrozenSet[int]:
     """Minimum triangle-free 2-edge cover of g containing `forced`.
 
-    Every vertex gets degree >= 2; no connected component of the result is a
-    triangle. Branch and bound with unit propagation on degree deficiencies.
-    Raises ValueError when no cover exists (some vertex of degree < 2).
+    Every vertex gets degree >= 2 in the cover, a kept loop counting twice
+    as in `Graph.degree`, and no connected component of the cover is a
+    triangle. Ties among minimum covers break to the lexicographically
+    smallest sorted edge-id list. Raises ValueError when no such cover
+    exists, OracleTimeout past `deadline`.
+
+    Iterative deepening on the cover size k, from kept edges plus half the
+    summed degree deficiency (an edge lowers it by at most two), with a
+    keep-first DFS over edges in ascending id order per k: it meets sets of
+    equal size in lex order, so its first cover is the answer. Unit
+    propagation keeps the undecided edges of a vertex whose deficiency
+    equals its undecided degree; they lie in every cover below the node,
+    so the order is unchanged. Triangles are tested at the leaves.
     """
-    forced = frozenset(forced)
-    for v in g.vertices:
-        if g.degree(v) < 2:
-            raise ValueError(f"vertex {v} has degree < 2; no 2-edge cover")
-    solver = _Tf2ecSolver(g, forced, deadline)
-    result = solver.run()
-    if result is None:
-        raise ValueError("no triangle-free 2-edge cover containing forced set")
-    return result
+    _check_deadline(deadline)
+    arr = _EdgeArrays(g)
+    eu, ev, adj = arr.eu, arr.ev, arr.adj
+    m = len(eu)
+    st = [0] * m            # edge state: 0 undecided, 1 kept, -1 removed
+    kd = [0] * arr.n        # kept degree
+    av = list(arr.deg)      # undecided degree
+    trail: List[int] = []   # edges in the order they were decided
+    frames: List[Tuple[int, int, int]] = []  # (branch edge, trail mark, state)
+    nk, dsum, nodes = 0, 2 * arr.n, 0        # kept edges, summed deficiency
 
+    def fix(i: int, s: int) -> None:
+        nonlocal nk, dsum
+        st[i] = s
+        trail.append(i)
+        if s == 1:
+            nk += 1
+        for x in (eu[i], ev[i]):
+            av[x] -= 1
+            if s == 1:
+                if kd[x] < 2:
+                    dsum -= 1
+                kd[x] += 1
 
-class _Tf2ecSolver:
-    """DFS with unit propagation; minimizes kept edges.
+    def undo(mark: int) -> None:
+        nonlocal nk, dsum
+        while len(trail) > mark:
+            i = trail.pop()
+            if st[i] == 1:
+                nk -= 1
+            for x in (eu[i], ev[i]):
+                av[x] += 1
+                if st[i] == 1:
+                    kd[x] -= 1
+                    if kd[x] < 2:
+                        dsum += 1
+            st[i] = 0
 
-    Edge states: 0 undecided, 1 kept, -1 removed. A vertex with deficiency d
-    and exactly d available undecided edges forces them in; a vertex that
-    cannot reach degree 2 fails the branch.
-    """
-
-    def __init__(self, g: Graph, forced: FrozenSet[int],
-                 deadline: Optional[float]):
-        self.g = g
-        self.forced = forced
-        self.deadline = deadline
-        self.eids = g.edge_ids()
-        self.best: Optional[List[int]] = None
-        self.steps = 0
-
-    def run(self) -> Optional[FrozenSet[int]]:
-        state: Dict[int, int] = {eid: 0 for eid in self.eids}
-        for eid in self.forced:
-            state[eid] = 1
-        if self._propagate(state) is None:
-            return None
-        self._dfs(state)
-        return None if self.best is None else frozenset(self.best)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _deg(self, state: Dict[int, int], v: int, want: int) -> int:
-        return sum(1 for e in self.g.incident(v) if state[e.id] == want)
-
-    def _propagate(self, state: Dict[int, int]) -> Optional[bool]:
-        """Force/fail on degree constraints. None on contradiction."""
-        dirty = True
-        while dirty:
-            dirty = False
-            for v in self.g.vertices:
-                kept = avail = 0
-                for e in self.g.incident(v):
-                    s = state[e.id]
-                    if s == 1:
-                        kept += 1
-                    elif s == 0:
-                        avail += 1
-                need = 2 - kept
-                if need > 0:
-                    if avail < need:
-                        return None
-                    if avail == need:
-                        for e in self.g.incident(v):
-                            if state[e.id] == 0:
-                                state[e.id] = 1
-                        dirty = True
+    def settle(work: List[int]) -> bool:
+        """Propagate from the vertices in `work`; False on a contradiction."""
+        while work:
+            x = work.pop()
+            need = 2 - kd[x]
+            if need > 0 and av[x] <= need:
+                if av[x] < need:
+                    return False
+                for i in adj[x]:
+                    if st[i] == 0:
+                        fix(i, 1)
+                        work.append(eu[i] ^ ev[i] ^ x)
         return True
 
-    def _lower_bound(self, state: Dict[int, int]) -> int:
-        kept_cnt = sum(1 for s in state.values() if s == 1)
-        deficiency = 0
-        for v in self.g.vertices:
-            kept = sum(1 for e in self.g.incident(v) if state[e.id] == 1)
-            if kept < 2:
-                deficiency += 2 - kept
-        return kept_cnt + (deficiency + 1) // 2
+    def branch(i: int, s: int) -> bool:
+        frames.append((i, len(trail), s))
+        fix(i, s)
+        return settle([eu[i], ev[i]])
 
-    def _triangle_components(self, state: Dict[int, int]) -> List[FrozenSet[int]]:
-        sub = self.g.spanning([eid for eid, s in state.items() if s == 1])
-        out = []
-        for comp in components(sub):
-            if len(comp) == 3:
-                inner = sub.induced(comp)
-                if inner.m == 3 and all(inner.degree(v) == 2 for v in comp):
-                    out.append(frozenset(comp))
-        return out
+    def triangle_free() -> bool:
+        for x in range(arr.n):
+            if kd[x] != 2:
+                continue
+            ks = [i for i in adj[x] if st[i] == 1]
+            if len(ks) != 2:
+                continue  # one kept loop
+            a, b = (eu[i] ^ ev[i] ^ x for i in ks)
+            if a != b and kd[a] == 2 and kd[b] == 2 and any(
+                    st[i] == 1 and eu[i] ^ ev[i] ^ a == b for i in adj[a]):
+                return False
+        return True
 
-    def _record(self, state: Dict[int, int]) -> None:
-        kept = sorted(eid for eid, s in state.items() if s == 1)
-        if self.best is None or len(kept) < len(self.best) or \
-                (len(kept) == len(self.best) and kept < self.best):
-            self.best = kept
+    def search(k: int) -> bool:
+        nonlocal nodes
+        pos, ok = 0, True
+        while True:
+            nodes += 1
+            if nodes % 256 == 0:
+                _check_deadline(deadline)
+            if ok and nk + (dsum + 1) // 2 <= k:
+                if nk == k:
+                    # the undecided edges are removed; degrees are met
+                    if triangle_free():
+                        return True
+                else:
+                    while pos < m and st[pos]:
+                        pos += 1
+                    if pos < m:
+                        ok = branch(pos, 1)
+                        pos += 1
+                        continue
+            # dead end: take the remove branch of the deepest keep branch
+            while frames and frames[-1][2] == -1:
+                undo(frames.pop()[1])
+            if not frames:
+                return False
+            i, mark, _ = frames.pop()
+            undo(mark)
+            ok = branch(i, -1)
+            pos = i + 1
 
-    # -- search ----------------------------------------------------------
-
-    def _dfs(self, state: Dict[int, int]) -> None:
-        self.steps += 1
-        if self.steps % 128 == 0:
-            _check_deadline(self.deadline)
-        best_len = None if self.best is None else len(self.best)
-        if best_len is not None and self._lower_bound(state) > best_len:
-            return
-        # find the most constrained deficient vertex
-        pick_v = None
-        pick_key = None
-        for v in self.g.vertices:
-            kept = avail = 0
-            for e in self.g.incident(v):
-                s = state[e.id]
-                if s == 1:
-                    kept += 1
-                elif s == 0:
-                    avail += 1
-            if kept < 2:
-                key = (avail, v)
-                if pick_key is None or key < pick_key:
-                    pick_key = key
-                    pick_v = v
-        if pick_v is not None:
-            cand = [e for e in self.g.incident(pick_v) if state[e.id] == 0]
-            # branch: keep cand[0] / remove cand[0]
-            eid = min(c.id for c in cand)
-            for choice in (1, -1):
-                child = dict(state)
-                child[eid] = choice
-                if self._propagate(child) is not None:
-                    self._dfs(child)
-            return
-        # all degree constraints satisfied by kept edges
-        tris = self._triangle_components(state)
-        if not tris:
-            self._record(state)
-            return
-        if best_len is not None and \
-                self._lower_bound(state) + (len(tris) + 1) // 2 > best_len:
-            return
-        tri = min(tris, key=min)
-        escapes = sorted({e.id for v in tri for e in self.g.incident(v)
-                          if state[e.id] == 0})
-        # some escape edge must be kept; partition on the first kept escape
-        for i, eid in enumerate(escapes):
-            child = dict(state)
-            for prior in escapes[:i]:
-                child[prior] = -1
-            child[eid] = 1
-            if self._propagate(child) is not None:
-                self._dfs(child)
+    for eid in set(forced):
+        fix(arr.pos[eid], 1)
+    if settle(list(range(arr.n))):
+        for k in range(nk + (dsum + 1) // 2, m + 1):
+            if search(k):
+                return frozenset(arr.eids[i] for i in range(m) if st[i] == 1)
+    raise ValueError("no triangle-free 2-edge cover containing forced set")
 
 
 # -- maximum triangle-free 2-matching -------------------------------------
@@ -608,13 +581,9 @@ def opt_type(g1: Graph, u: int, v: int, t: str,
     """
     if g_full is not None:
         g2 = g_full.without_vertices(set(g1.vertices) - {u, v})
-        t2 = classify_type(g2, u, v)
-        if t == "C":
-            if not is_2ec(g2):
-                return None
-        else:
-            if t2 not in ("A", "B"):
-                return None
+        if not (is_2ec(g2) if t == "C"
+                else classify_type(g2, u, v) in ("A", "B")):
+            return None
     return _opt_typed(g1, u, v, t, deadline)
 
 

@@ -12,7 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
+                    Tuple)
 
 from .errors import InfeasibleError, InternalContradiction
 from .graph import (VIRTUAL_BASE, Edge, Graph, components, cut_vertices,
@@ -284,12 +285,21 @@ def _opt_via_types(g: Graph, g1: Graph, g2: Graph, u: int, v: int,
     optima are affordable even when the combined graph is not.
     """
     deadline = budget.deadline()
+    optima: Dict[Tuple[int, str], Optional[FrozenSet[int]]] = {}
+
+    def typed(side: int, t: str) -> Optional[FrozenSet[int]]:
+        # each (side, type) optimum is searched once, on first use
+        if (side, t) not in optima:
+            optima[side, t] = opt_type((g1, g2)[side], u, v, t,
+                                       deadline=deadline)
+        return optima[side, t]
+
     best: Optional[Tuple[int, List[int]]] = None
     for t1, t2 in _TYPE_COMBOS:
-        r1 = opt_type(g1, u, v, t1, deadline=deadline)
+        r1 = typed(0, t1)
         if r1 is None:
             continue
-        r2 = opt_type(g2, u, v, t2, deadline=deadline)
+        r2 = typed(1, t2)
         if r2 is None:
             continue
         cand = sorted(r1 | r2)

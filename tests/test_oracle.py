@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -55,10 +56,13 @@ def is_tf2ec(g, h):
 
 
 def brute_min_tf2ec(g, forced=frozenset()):
-    eids = g.edge_ids()
-    for k in range(len(forced), len(eids) + 1):
-        hits = [frozenset(c) for c in itertools.combinations(eids, k)
-                if forced <= set(c) and is_tf2ec(g, c)]
+    """Reference: forced plus the fewest, then lex-first, other edges."""
+    if any(g.degree(v) < 2 for v in g.vertices):
+        return None  # no subgraph covers v twice
+    rest = [e for e in g.edge_ids() if e not in forced]
+    for k in range(len(rest) + 1):
+        hits = [forced | set(c) for c in itertools.combinations(rest, k)
+                if is_tf2ec(g, forced | set(c))]
         if hits:
             return min(hits, key=sorted)
     return None
@@ -197,12 +201,41 @@ class TestMinTf2ec:
             got = min_tf2ec(g, forced)
             assert forced <= got
             want = brute_min_tf2ec(g, forced)
-            assert len(got) == len(want)
+            assert sorted(got) == sorted(want)
 
     def test_infeasible(self):
         g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             min_tf2ec(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_matches_bruteforce_on_multigraphs(self, g, data):
+        # loops count twice toward their vertex, as in Graph.degree
+        forced = frozenset(data.draw(st.sets(st.sampled_from(g.edge_ids())))
+                           if g.m else ())
+        try:
+            got = min_tf2ec(g, forced)
+        except ValueError:
+            got = None
+        assert got == brute_min_tf2ec(g, forced)
+
+    def test_kept_loop_counts_twice(self):
+        # vertex 0 has only a loop: keeping it gives degree 2
+        g = Graph(range(5), [Edge(0, 0, 0), Edge(1, 1, 2), Edge(2, 2, 3),
+                             Edge(3, 3, 4), Edge(4, 4, 1)])
+        assert min_tf2ec(g) == {0, 1, 2, 3, 4}
+        # the loop alone covers vertex 0, so edge 5 stays out
+        assert min_tf2ec(g.with_edges([Edge(5, 0, 1)])) == {0, 1, 2, 3, 4}
+
+    def test_expired_deadline_raises(self):
+        # prism C10 x K2: the search makes only a few dozen nodes here, so
+        # the deadline has to be checked on entry as well
+        rim = [(i, (i + 1) % 10) for i in range(10)]
+        g = Graph.from_edge_list(20, rim + [(a + 10, b + 10) for a, b in rim]
+                                 + [(i, i + 10) for i in range(10)])
+        with pytest.raises(OracleTimeout):
+            min_tf2ec(g, deadline=time.monotonic() - 1)
 
 
 class TestMaxTf2m:

@@ -370,33 +370,46 @@ def find_irrelevant_edge(g: Graph) -> Optional[Edge]:
 
 
 def connected_subsets(g: Graph, kmax: int) -> Iterator[FrozenSet[int]]:
-    """Every connected vertex set with at most kmax vertices, each once.
+    """Every connected vertex set with at most kmax vertices, each once;
+    nothing when kmax < 1.
 
     For each anchor v (ascending), the sets whose minimum vertex is v, grown
     by neighbourhood extension in preorder: a set comes before its
     extensions. A vertex skipped at one level is banned below its later
-    siblings, which kills duplicates.
+    siblings, which kills duplicates. The preorder runs on one explicit
+    stack of frames (set, extension list, next index, banned set), so a
+    yield costs no climb through nested generators.
     """
+    if kmax < 1:
+        return
     nbrs = {v: g.neighbors(v) for v in g.vertices}
-
-    def grow(v: int, current: Set[int], ext: List[int], banned: Set[int]
-             ) -> Iterator[FrozenSet[int]]:
-        yield frozenset(current)
-        if len(current) == kmax:
-            return
-        local_ban = set(banned)
-        for i, u in enumerate(ext):
-            new_ext = ext[i + 1:]
-            seen = set(new_ext) | current | local_ban | {u}
-            for x in nbrs[u]:
-                if x > v and x not in seen:
-                    new_ext.append(x)
-                    seen.add(x)
-            yield from grow(v, current | {u}, new_ext, local_ban)
-            local_ban.add(u)
-
     for v in g.vertices:
-        yield from grow(v, {v}, [x for x in nbrs[v] if x > v], set())
+        root = frozenset((v,))
+        yield root
+        if kmax == 1:
+            continue
+        stack = [[root, [x for x in nbrs[v] if x > v], 0, set()]]
+        while stack:
+            frame = stack[-1]
+            current, ext, i, banned = frame
+            if i == len(ext):
+                stack.pop()
+                continue
+            frame[2] = i + 1
+            u = ext[i]
+            grown = current | {u}
+            yield grown
+            if len(grown) < kmax:
+                # later siblings, then u's new neighbours; banned holds the
+                # earlier siblings and what the ancestors banned
+                new_ext = ext[i + 1:]
+                for x in nbrs[u]:
+                    if x > v and x not in grown and x not in banned \
+                            and x not in new_ext:
+                        new_ext.append(x)
+                if new_ext:
+                    stack.append([grown, new_ext, 0, set(banned)])
+            banned.add(u)
 
 
 @dataclass

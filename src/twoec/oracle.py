@@ -21,6 +21,17 @@ the standard library only:
   that bound like `_min_inner_2ec`, with unit propagation and a
   triangle test at the leaves, so its first cover is the answer.
 - `max_tf2matching`: kept edges plus half the remaining degree room.
+
+`find_contractible_subgraph` runs the exact 2EC search only on the few
+vertex sets W that cheap certificates leave open. For any 2EC spanning
+subgraph H of g, H ∩ E(g[W]) is a witness against W, because
+(g − E(g[W])) ∪ (H ∩ E(g[W])) contains H. So W is not contractible when
+some H keeps fewer than |E(C)|/alpha edges of g[W], C the minimum 2EC
+spanning subgraph of g[W]. This is checked with |W| for |E(C)| before
+g[W] is built (|E(C)| >= |W| once |W| >= 3), and with |E(C)| itself after
+`min_2ecss`. The certificates form a pool per call: two reverse-delete
+minimal 2EC spanning subgraphs of g (ascending and descending edge ids),
+and one sparsified witness of the exact search for each set it rejects.
 """
 
 from __future__ import annotations
@@ -463,6 +474,11 @@ def check_cover_matching_identity(g: Graph) -> bool:
 # -- contractibility ------------------------------------------------------
 
 
+def _below(x: int, alpha: Fraction) -> int:
+    """Largest count strictly below x/alpha."""
+    return math.ceil(Fraction(x) / alpha) - 1
+
+
 def is_alpha_contractible(g: Graph, c: Graph, alpha: Fraction,
                           deadline: Optional[float] = None) -> bool:
     """True iff every 2EC spanning subgraph of g keeps >= |E(c)|/alpha edges
@@ -475,8 +491,7 @@ def is_alpha_contractible(g: Graph, c: Graph, alpha: Fraction,
         return False
     w = set(c.vertices)
     inner = [e.id for e in g.edges() if e.u in w and e.v in w]
-    threshold = Fraction(c.m) / alpha
-    cap = math.ceil(threshold) - 1  # largest size strictly below threshold
+    cap = _below(c.m, alpha)
     if cap < 0:
         return True
     return min_inner_edges(g, inner, cap, deadline) is None
@@ -496,6 +511,58 @@ def _two_ends_each(w: FrozenSet[int], far: Dict[int, List[int]]) -> bool:
     return True
 
 
+class _Certificates:
+    """The pool of 2EC spanning subgraphs H of g that refute contractible
+    candidates (see the module docstring).
+
+    Each H is reverse-delete minimal, kept as far-end lists per vertex with
+    loops dropped (H less its loops is still 2EC spanning), so
+    |H ∩ E(g[W])| is a scan of W's H-neighbours.
+    """
+
+    def __init__(self, g: Graph, deadline: Optional[float]):
+        self.g = g
+        self.deadline = deadline
+        self.pool: List[Dict[int, List[int]]] = []
+        asc = list(range(g.m))  # array positions follow ascending edge ids
+        self._add(_EdgeArrays(g), asc)
+        self._add(_EdgeArrays(g), asc[::-1])
+
+    def add_witness(self, inner: Sequence[int], kept: FrozenSet[int]) -> None:
+        """Add a sparsification of (g − inner) ∪ kept, a 2EC spanning
+        subgraph that the exact search has just found."""
+        arr = _EdgeArrays(self.g)
+        for eid in inner:
+            if eid not in kept:
+                arr.remove(arr.pos[eid])
+        self._add(arr, [i for i in range(self.g.m) if arr.present[i]])
+
+    def _add(self, arr: _EdgeArrays, order: List[int]) -> None:
+        # reverse delete: drop each edge in turn unless that breaks 2EC
+        # (g has at least three vertices, so an end of degree < 2 does)
+        deg, eu, ev = arr.deg, arr.eu, arr.ev
+        for i in order:
+            _check_deadline(self.deadline)
+            arr.remove(i)
+            if deg[eu[i]] < 2 or deg[ev[i]] < 2 or not arr.is_2ec_now():
+                arr.restore(i)
+        verts = self.g.vertices
+        h: Dict[int, List[int]] = {v: [] for v in verts}
+        for i, kept in enumerate(arr.present):
+            a, b = verts[arr.eu[i]], verts[arr.ev[i]]
+            if kept and a != b:
+                h[a].append(b)
+                h[b].append(a)
+        self.pool.append(h)
+
+    def refute(self, w: FrozenSet[int], cap: int) -> bool:
+        """Does some H keep at most cap edges of g[W]?"""
+        for h in self.pool:
+            if sum(x in w for v in w for x in h[v]) <= 2 * cap:
+                return True
+        return False
+
+
 def find_contractible_subgraph(g: Graph, alpha: Fraction,
                                budget: Optional[OracleBudget] = None
                                ) -> Optional[Graph]:
@@ -506,18 +573,34 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     order); for each set W whose induced graph is 2EC, tests whether the
     minimum 2EC spanning subgraph C of g[W] is contractible, i.e. whether no
     H' ⊆ E(g[W]) with |H'| < |E(C)|/alpha restores 2EC of g with g[W]'s
-    edges dropped. Before g[W] is built, W must pass a degree filter read
-    off g's adjacency: every vertex of W needs two non-loop edges to W, as
-    in every 2EC graph on three or more vertices (a lone one is a bridge).
+    edges dropped. A contractible C has at least three vertices, so when
+    2/(alpha-1) < 3 there is none to find.
+
+    Most sets are rejected before the exact test:
+    - a degree filter read off g's adjacency: every vertex of W needs two
+      non-loop edges to W, as in every 2EC graph on three or more vertices
+      (a lone one is a bridge);
+    - a pool of 2EC spanning subgraphs H of g (see `_Certificates`): W is
+      skipped when some H keeps fewer than |W|/alpha edges of g[W], checked
+      before g[W] is built, since |E(C)| >= |W|; and again, once C is known,
+      when some H keeps fewer than |E(C)|/alpha.
+    A skipped set is one the exact test rejects, so the result is the same
+    as without them. The pool is built at the first set that passes the
+    degree filter, from reverse-delete minimal 2EC spanning subgraphs in
+    ascending and descending edge-id order, and grows by one sparsified
+    witness each time the exact test rejects a set; it lives for this call.
+
     Budget- and time-guarded, with one deadline for the whole search;
     exhaustion is fatal.
     """
     budget = budget or DEFAULT_BUDGET
     deadline = budget.deadline()
-    kmax_frac = Fraction(2) / (alpha - 1)
-    kmax = math.floor(kmax_frac)
+    kmax = math.floor(Fraction(2) / (alpha - 1))
+    if kmax < 3:
+        return None
     far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
            for v in g.vertices}
+    certs: Optional[_Certificates] = None
     examined = 0
     for w in connected_subsets(g, kmax):
         examined += 1
@@ -527,16 +610,22 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
         _check_deadline(deadline)
         if len(w) < 3 or not _two_ends_each(w, far):
             continue
+        if certs is None:
+            certs = _Certificates(g, deadline)
+        if certs.refute(w, _below(len(w), alpha)):
+            continue
         sub = g.induced(w)
         if not is_2ec(sub):
             continue
         c_edges = min_2ecss(sub, OracleBudget(vertex_cap=kmax), deadline)
-        c = g.subgraph(c_edges, w)
-        threshold = Fraction(len(c_edges)) / alpha
-        cap = math.ceil(threshold) - 1
-        inner = [e.id for e in sub.edges()]
-        if cap < 0 or min_inner_edges(g, inner, cap, deadline) is None:
-            return c
+        cap = _below(len(c_edges), alpha)
+        if certs.refute(w, cap):
+            continue
+        inner = sub.edge_ids()
+        found = min_inner_edges(g, inner, cap, deadline)
+        if found is None:
+            return g.subgraph(c_edges, w)
+        certs.add_witness(inner, found[1])
     return None
 
 

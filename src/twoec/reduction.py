@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple)
 
+from .cover import GUESS_VERTICES
 from .errors import InfeasibleError, InternalContradiction
 from .graph import (VIRTUAL_BASE, Edge, Graph, components, cut_vertices,
                     find_irrelevant_edge, is_2ec, is_2vc, two_vertex_cuts)
@@ -89,7 +90,9 @@ def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = No
 
 
 def _small_threshold(alpha: Fraction) -> Fraction:
-    return max(Fraction(4) / (alpha - 1), Fraction(5))
+    # The structured solver guesses a tree on GUESS_VERTICES vertices, so
+    # smaller graphs are solved exactly; that bites only for alpha > 11/7.
+    return max(Fraction(4) / (alpha - 1), Fraction(GUESS_VERTICES - 1))
 
 
 def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],

@@ -188,6 +188,47 @@ class TestConnectedSubsets:
             {0}, {0, 1}, {0, 1, 3}, {0, 1, 2}, {0, 3}, {0, 2, 3},
             {1}, {1, 2}, {1, 2, 3}, {2}, {2, 3}, {3})]
 
+    def test_matches_recursive_reference_order(self):
+        rng = random.Random(20241007)
+        for _ in range(320):
+            n = rng.randint(1, 11)
+            g = random_multigraph(rng, n, rng.randint(0, 2 * n + 4))
+            k = rng.randint(0, 8)
+            assert list(connected_subsets(g, k)) == \
+                list(recursive_connected_subsets(g, k))
+
+    def test_nothing_below_one_vertex(self):
+        # kmax = 0 once meant no size limit: all 21 connected sets of C5
+        assert list(connected_subsets(c_n(5), 0)) == []
+        assert list(connected_subsets(c_n(5), -1)) == []
+        assert len(list(connected_subsets(c_n(5), 1))) == 5
+
+
+def recursive_connected_subsets(g, kmax):
+    """The recursive preorder enumerator that `connected_subsets` replaced,
+    kept as the reference for its order."""
+    if kmax < 1:
+        return
+    nbrs = {v: g.neighbors(v) for v in g.vertices}
+
+    def grow(v, current, ext, banned):
+        yield frozenset(current)
+        if len(current) == kmax:
+            return
+        local_ban = set(banned)
+        for i, u in enumerate(ext):
+            new_ext = ext[i + 1:]
+            seen = set(new_ext) | current | local_ban | {u}
+            for x in nbrs[u]:
+                if x > v and x not in seen:
+                    new_ext.append(x)
+                    seen.add(x)
+            yield from grow(v, current | {u}, new_ext, local_ban)
+            local_ban.add(u)
+
+    for v in g.vertices:
+        yield from grow(v, {v}, [x for x in nbrs[v] if x > v], set())
+
 
 class TestComponentGraph:
     def test_component_graph_keeps_parallels(self):

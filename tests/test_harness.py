@@ -191,6 +191,20 @@ class TestCli:
         assert code == 4
         assert "oracle time cap exceeded" in err
 
+    def test_solve_alpha_above_three(self, tmp_path, capsys):
+        # 2/(alpha-1) < 1: no contractible subgraph can exist, and graphs
+        # below the 8-vertex guess of the structured solver are solved
+        # exactly
+        inst = tmp_path / "i.txt"
+        inst.write_text(format_instance(
+            generate("gnp_2ec", 12, 1, density=0.3)))
+        rep = tmp_path / "r.json"
+        code, _, err = self.run(["solve", str(inst), "--alpha", "4",
+                                 "--report", str(rep)], capsys)
+        assert code == 0, err
+        report = json.loads(rep.read_text())
+        assert report["verdict"] == "OK" and report["size"] == 12
+
     def test_oracle_subcommand(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
         self.run(["gen", "hamiltonian_plus_chords", "--n", "9", "--seed", "0",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twoec
+from twoec import oracle
 from twoec.graph import (Edge, Graph, connected_subsets, is_2ec, components,
                          two_ec_blocks)
 from twoec.harness import generate, solve
@@ -270,6 +272,40 @@ class TestIdentity:
             assert check_cover_matching_identity(g)
 
 
+def random_2ec_multigraph(rng, n):
+    """A random 2EC simple graph plus up to three loops and three parallel
+    copies of its edges."""
+    g = random_2ec_graph(rng, n, extra=rng.randint(0, n))
+    es = g.edges()
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randrange(n)
+        extra.append(Edge(g.m + len(extra), v, v))
+    for _ in range(rng.randint(0, 3)):
+        e = rng.choice(es)
+        extra.append(Edge(g.m + len(extra), e.u, e.v))
+    return g.with_edges(extra)
+
+
+def unfiltered_contractible(g, alpha):
+    """The first set W, in enumeration order, whose g[W] is 2EC and whose
+    minimum 2EC spanning subgraph is contractible; no filter, no pool."""
+    for w in connected_subsets(g, math.floor(2 / (alpha - 1))):
+        sub = g.induced(w)
+        if len(w) < 3 or not is_2ec(sub):
+            continue
+        c = g.subgraph(min_2ecss(sub), w)
+        if is_alpha_contractible(g, c, alpha):
+            return c
+    return None
+
+
+def same_subgraph(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.vertices, a.edge_ids()) == (b.vertices, b.edge_ids())
+
+
 class TestContractibility:
     def test_c4_with_two_private_vertices(self):
         # C4 (0,1,2,3) where 1 and 3 have no other neighbors; the big cycle
@@ -311,25 +347,49 @@ class TestContractibility:
     @given(small_graphs().filter(is_2ec))
     @settings(max_examples=150, deadline=None)
     def test_matches_unfiltered_reference(self, g):
-        # the first set W, in enumeration order, whose g[W] is 2EC and whose
-        # minimum 2EC spanning subgraph is contractible; no degree filter
         alpha = Fraction(5, 4)
-        want = None
-        for w in connected_subsets(g, 8):
-            sub = g.induced(w)
-            if len(w) < 3 or not is_2ec(sub):
-                continue
-            c = g.subgraph(min_2ecss(sub), w)
-            if is_alpha_contractible(g, c, alpha):
-                want = c
-                break
-        got = find_contractible_subgraph(g, alpha)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.vertices, got.edge_ids()) == \
-                (want.vertices, want.edge_ids())
+        assert same_subgraph(find_contractible_subgraph(g, alpha),
+                             unfiltered_contractible(g, alpha))
+
+    def test_certificates_reject_only_non_contractible(self, monkeypatch):
+        # n = 9..12 keeps W mostly a proper subset of V, where a certificate
+        # H of g can keep few edges of g[W]
+        rng = random.Random(20241017)
+        alpha = Fraction(5, 4)
+        rejected = []
+        refute = oracle._Certificates.refute
+
+        def recording(self, w, cap):
+            out = refute(self, w, cap)
+            if out:
+                rejected.append(w)
+            return out
+
+        monkeypatch.setattr(oracle._Certificates, "refute", recording)
+        found = checked = 0
+        for _ in range(80):
+            g = random_2ec_multigraph(rng, rng.randint(9, 12))
+            rejected.clear()
+            want = unfiltered_contractible(g, alpha)
+            assert same_subgraph(find_contractible_subgraph(g, alpha), want)
+            found += want is not None
+            for w in set(rejected):
+                sub = g.induced(w)
+                if is_2ec(sub):
+                    checked += 1
+                    c = g.subgraph(min_2ecss(sub), w)
+                    assert not is_alpha_contractible(g, c, alpha)
+        assert found > 20 and checked > 500
+
+    def test_nothing_to_find_below_three_vertices(self):
+        # the C4 above is contractible while 2/(alpha-1) >= 4; once that
+        # is below 3 no set is enumerated, so a zero budget holds
+        g = Graph.from_edge_list(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                     (0, 4), (4, 5), (5, 6), (6, 7), (7, 2)])
+        assert find_contractible_subgraph(g, Fraction(3, 2)) is not None
+        for alpha in (Fraction(2), Fraction(3), Fraction(4)):
+            assert find_contractible_subgraph(
+                g, alpha, OracleBudget(subset_budget=0)) is None
 
     def test_monotone_in_alpha(self, rng):
         for _ in range(8):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twoec.errors import InfeasibleError
+from twoec.errors import InfeasibleError, InternalContradiction
 from twoec.graph import Graph, is_2ec
 from twoec.harness import solve
 from twoec.oracle import OracleBudget, min_2ecss
@@ -156,6 +156,18 @@ class TestReduceRules:
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 30 == g.m  # every edge is forced by a degree-2 vertex
         assert trace.steps[0].rule == "two_cut_type_C"
+
+    def test_broken_structured_solver_is_caught(self):
+        # the prism C9 x K2 reduces by no rule and is dispatched whole; an
+        # empty solution must raise, carrying the dispatched graph
+        pairs = cycle(9) + cycle(9, offset=9) + [(i, i + 9) for i in range(9)]
+        g = Graph.from_edge_list(18, pairs)
+        with pytest.raises(InternalContradiction,
+                           match="structured solver output not 2EC") as err:
+            reduce(g, alg=lambda sub: frozenset())
+        bad = err.value.counterexample
+        assert (bad.n, bad.m) == (18, 27)
+        assert (bad.vertices, bad.edges()) == (g.vertices, g.edges())
 
 
 class TestReduceMedium:

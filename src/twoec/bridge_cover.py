@@ -19,8 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import InternalContradiction
 from .graph import (Edge, Graph, bridges, components, is_2ec, two_ec_blocks)
-from .cover import (CanonicalCover, canonical_violations, cost, credits,
-                    _is_coarsening)
+from .cover import canonical_violations, cost, _is_coarsening
 
 
 @dataclass
@@ -30,15 +29,12 @@ class TcTree:
     gc: the contracted multigraph; node names are smallest original
     vertices (of a block, of a lonely vertex, or of another component).
     tc_nodes: the tree nodes, tagged "block" or "lonely". tc_edges: the
-    bridge edge ids, which induce the tree. vertex_node maps original
-    vertices to contracted nodes.
+    bridge edge ids, which induce the tree.
     """
     gc: Graph
     tree: Graph
     tc_nodes: Dict[int, str]
     tc_edges: FrozenSet[int]
-    node_vertices: Dict[int, FrozenSet[int]]
-    vertex_node: Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -68,32 +64,27 @@ def build_tc(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> TcTree:
         raise ValueError("component has no bridge")
 
     vertex_node: Dict[int, int] = {}
-    node_vertices: Dict[int, FrozenSet[int]] = {}
     tc_nodes: Dict[int, str] = {}
     for vs, _es in dec.blocks:
         rep = min(vs)
         tc_nodes[rep] = "block"
-        node_vertices[rep] = vs
         for v in vs:
             vertex_node[v] = rep
     for v in dec.lonely:
         tc_nodes[v] = "lonely"
-        node_vertices[v] = frozenset([v])
         vertex_node[v] = v
     for comp in components(sub):
         if comp[0] in cset:
             continue
-        rep = comp[0]
-        node_vertices[rep] = frozenset(comp)
         for v in comp:
-            vertex_node[v] = rep
+            vertex_node[v] = comp[0]
 
     gc_edges = []
     for e in g.edges():
         a, b = vertex_node[e.u], vertex_node[e.v]
         if a != b:
             gc_edges.append(Edge(e.id, a, b))
-    gc = Graph(node_vertices.keys(), gc_edges)
+    gc = Graph(vertex_node.values(), gc_edges)
 
     tree_edges = []
     for eid in sorted(dec.bridge_ids):
@@ -107,8 +98,7 @@ def build_tc(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> TcTree:
         if tree.degree(v) == 1 and tc_nodes[v] != "block":
             raise InternalContradiction("tree leaf is not a block",
                                         counterexample=(g, s, v))
-    return TcTree(gc, tree, tc_nodes, frozenset(dec.bridge_ids),
-                  node_vertices, vertex_node)
+    return TcTree(gc, tree, tc_nodes, frozenset(dec.bridge_ids))
 
 
 def _reach_paths(tc: TcTree, w: Iterable[int],
@@ -412,10 +402,10 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
                      Fraction(0), "two_path_swap")
 
 
-def cover_all(g: Graph, cover: CanonicalCover,
-              moves: Optional[List[BridgeCoverMove]] = None) -> CanonicalCover:
+def cover_all(g: Graph, cover: FrozenSet[int],
+              moves: Optional[List[BridgeCoverMove]] = None) -> FrozenSet[int]:
     """Apply cover_step until every component is 2-edge-connected."""
-    cur = cover.edges
+    cur = cover
     budget = len(bridges(g.spanning(cur))) + 1
     while True:
         sub = g.spanning(cur)
@@ -433,16 +423,11 @@ def cover_all(g: Graph, cover: CanonicalCover,
             moves.append(mv)
         cur = (cur | mv.added) - mv.removed
 
-    sub = g.spanning(cur)
-    if cost(sub) > cost(g.spanning(cover.edges)):
+    if cost(g.spanning(cur)) > cost(g.spanning(cover)):
         raise InternalContradiction("bridge elimination raised the cost",
-                                    counterexample=(g, cover.edges, cur))
+                                    counterexample=(g, cover, cur))
     bad = canonical_violations(g, cur)
     if bad:
         raise InternalContradiction(f"output cover not canonical: {bad}",
                                     counterexample=(g, cur))
-    classification: Dict[int, str] = {}
-    for comp in components(sub):
-        cs = sub.induced(comp)
-        classification[comp[0]] = "large" if cs.m >= 8 else "small_cycle"
-    return CanonicalCover(cur, credits(sub), classification)
+    return cur

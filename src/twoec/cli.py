@@ -18,6 +18,7 @@ from .harness import (FAMILIES, baseline_dfs2, format_instance,
                       instance_hash, parse_instance, report_json,
                       report_with_opt, solve, verify)
 from .oracle import OracleBudget, min_2ecss
+from .reduction import ALPHA_MIN
 
 
 def _read_graph(path: str):
@@ -37,8 +38,18 @@ def _budget(args) -> OracleBudget:
                         time_cap=args.oracle_time_cap)
 
 
+def _alpha(text: str) -> Fraction:
+    try:
+        alpha = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"--alpha {text!r} is not a fraction") from None
+    if alpha < ALPHA_MIN:
+        raise ParseError(f"--alpha {text} is below {ALPHA_MIN}")
+    return alpha
+
+
 def _solve_flags(args) -> Dict[str, object]:
-    return dict(alpha=Fraction(args.alpha),
+    return dict(alpha=_alpha(args.alpha),
                 seed=args.seed,
                 max_guesses=args.max_guesses,
                 first_feasible=args.first_feasible,
@@ -69,7 +80,13 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.instance)
-    ids = [int(tok) for tok in Path(args.solution).read_text().split()]
+    ids = []
+    for tok in Path(args.solution).read_text().split():
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ParseError(f"{args.solution}: edge id {tok!r} is not an "
+                             "integer") from None
     verdict = verify(g, ids)
     out = {"instance": instance_hash(g), "size": len(set(ids)), **verdict}
     if args.with_opt and verdict["status"] == "OK":

@@ -3,8 +3,8 @@
 The lower-bound object for the solver is a minimum triangle-free 2-edge
 cover containing a guessed tree on 8 vertices. This module enumerates the
 guesses, computes the constrained cover by subdividing the guessed edges,
-massages covers into canonical form, and keeps the credit ledger that the
-later merging stages spend.
+massages covers into canonical form, and computes the credit ledger that
+the later merging stages check their moves against.
 """
 
 from dataclasses import dataclass, field
@@ -168,13 +168,6 @@ def cover_cost(g: Graph, edge_ids: FrozenSet[int]) -> Fraction:
 # -- canonical covers ------------------------------------------------------
 
 
-@dataclass
-class CanonicalCover:
-    edges: FrozenSet[int]
-    ledger: CreditLedger
-    classification: Dict[int, str]
-
-
 def is_tf2ec(g: Graph, h: FrozenSet[int]) -> bool:
     """h is a 2-edge cover of g and no component of h is a triangle."""
     sub = g.spanning(h)
@@ -322,7 +315,7 @@ def _exchange_small_component(g: Graph, h: FrozenSet[int]
     return None
 
 
-def canonicalize(g: Graph, h: FrozenSet[int]) -> CanonicalCover:
+def canonicalize(g: Graph, h: FrozenSet[int]) -> FrozenSet[int]:
     """Turn a triangle-free 2-edge cover into a canonical one, no larger.
 
     Applies, in order of cheapness: spare-edge deletion, short leaf-block
@@ -345,14 +338,4 @@ def canonicalize(g: Graph, h: FrozenSet[int]) -> CanonicalCover:
     if bad:
         raise InternalContradiction(f"canonicalization stalled: {bad}",
                                     counterexample=(g, cur))
-    sub = g.spanning(cur)
-    classification: Dict[int, str] = {}
-    for comp in components(sub):
-        cs = sub.induced(comp)
-        if not is_2ec(cs):
-            classification[comp[0]] = "complex"
-        elif cs.m >= 8:
-            classification[comp[0]] = "large"
-        else:
-            classification[comp[0]] = "small_cycle"
-    return CanonicalCover(cur, credits(sub), classification)
+    return cur

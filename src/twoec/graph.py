@@ -582,49 +582,6 @@ def path_avoiding(h: Graph, sources: Iterable[int], targets: Iterable[int],
     return None
 
 
-def cycle_through_two(b: Graph, x: int, y: int) -> Optional[List[Edge]]:
-    """A simple cycle of b containing nodes x and y, as an edge list.
-
-    Two internally node-disjoint x,y-paths found with a unit-capacity flow
-    (node splitting). Parallel x,y edges give a 2-cycle. Returns None if no
-    such cycle exists (x, y not in a common 2EC piece).
-    """
-    par = b.edges_between(x, y)
-    if len(par) >= 2:
-        return [par[0], par[1]]
-    paths = _two_vertex_disjoint_paths(b, x, y)
-    if paths is None:
-        return None
-    p1, p2 = paths
-    return p1 + list(reversed(p2))
-
-
-def _two_vertex_disjoint_paths(b: Graph, x: int, y: int
-                               ) -> Optional[Tuple[List[Edge], List[Edge]]]:
-    """Two internally node-disjoint x,y-paths, or None if fewer exist."""
-    net = FlowNet()
-    src, snk = ("s",), ("t",)
-
-    def out_node(v):
-        return src if v == x else (snk if v == y else ("out", v))
-
-    def in_node(v):
-        return src if v == x else (snk if v == y else ("in", v))
-
-    for v in b.vertices:
-        if v not in (x, y):
-            net.add_arc(("in", v), ("out", v), None)
-    for e in b.edges():
-        if e.is_loop():
-            continue
-        net.add_arc(out_node(e.u), in_node(e.v), e)
-        net.add_arc(out_node(e.v), in_node(e.u), e)
-    if net.max_flow(src, snk, 2) < 2:
-        return None
-    p1, p2 = net.two_paths(src, snk)
-    return p1, p2
-
-
 class FlowNet:
     """Tiny unit-capacity flow network with edge tags for path recovery.
 

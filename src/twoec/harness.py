@@ -14,11 +14,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .bridge_cover import cover_all
 from .cover import canonicalize, enumerate_guesses, initial_cover
-from .errors import InfeasibleError, ParseError
+from .errors import InfeasibleError, InternalContradiction, ParseError
 from .gluing import glue_all
-from .graph import Edge, Graph, components, is_2ec
+from .graph import Edge, Graph, bridges, components, is_2ec
 from .oracle import OracleBudget, min_2ecss
-from .reduction import ALPHA_DEFAULT, is_structured, reduce
+from .reduction import ALPHA_DEFAULT, reduce
 
 # -- instance files --------------------------------------------------------
 
@@ -223,14 +223,12 @@ class SolveTrace:
     certified: bool = True
     glue_rules: List[str] = field(default_factory=list)
     dispatched: int = 0
-    reduction_steps: List[str] = field(default_factory=list)
 
 
 def _pipeline(g: Graph, h: FrozenSet[int],
               trace: Optional[SolveTrace] = None) -> FrozenSet[int]:
-    cov = canonicalize(g, h)
-    cov = cover_all(g, cov)
-    final, moves = glue_all(g, cov.edges)
+    cov = cover_all(g, canonicalize(g, h))
+    final, moves = glue_all(g, cov)
     if trace is not None:
         trace.glue_rules.extend(mv.rule for mv in moves)
     return final
@@ -245,8 +243,7 @@ def structured_solver(g: Graph,
                       trace: Optional[SolveTrace] = None,
                       max_guesses: Optional[int] = None,
                       first_feasible: bool = False,
-                      deadline: Optional[float] = None,
-                      check_structured: bool = False) -> FrozenSet[int]:
+                      deadline: Optional[float] = None) -> FrozenSet[int]:
     """Solve one structured instance: guessed cover, then canonicalize,
     bridge-cover, and glue; best solution over the guesses.
 
@@ -256,10 +253,6 @@ def structured_solver(g: Graph,
     constrained cover matches the unconstrained minimum size is already
     best possible, so enumeration stops early.
     """
-    if check_structured:
-        verdict = is_structured(g)
-        if not verdict:
-            raise InfeasibleError(f"not structured: {verdict.reason}")
     if trace is not None:
         trace.dispatched += 1
     h0 = initial_cover(g, frozenset(), deadline=deadline)
@@ -392,7 +385,6 @@ def verify(g: Graph, sol: Iterable[int]) -> Dict[str, object]:
     comps = components(sub)
     if len(comps) > 1:
         return {"status": "NOT_2EC", "witness": ["disconnected"]}
-    from .graph import bridges
     br = sorted(bridges(sub))
     if br:
         return {"status": "NOT_2EC", "witness": br[:5]}
@@ -409,8 +401,7 @@ def solve(g: Graph,
           max_guesses: Optional[int] = None,
           first_feasible: bool = False,
           budget: Optional[OracleBudget] = None,
-          want_trace: bool = False,
-          check_structured: bool = False
+          want_trace: bool = False
           ) -> Tuple[FrozenSet[int], Dict[str, object]]:
     """Run the full pipeline and build a run report.
 
@@ -423,14 +414,11 @@ def solve(g: Graph,
     def alg(sub: Graph) -> FrozenSet[int]:
         return structured_solver(sub, trace=tr, max_guesses=max_guesses,
                                  first_feasible=first_feasible,
-                                 deadline=budget.deadline(),
-                                 check_structured=check_structured)
+                                 deadline=budget.deadline())
 
     sol, rtrace = reduce(g, alpha=alpha, alg=alg, budget=budget)
-    tr.reduction_steps = [st.rule for st in rtrace.steps]
     ver = verify(g, sol)
     if ver["status"] != "OK":
-        from .errors import InternalContradiction
         raise InternalContradiction(f"solver output failed verification: {ver}",
                                     counterexample=(g, sol))
     report: Dict[str, object] = {
@@ -449,7 +437,7 @@ def solve(g: Graph,
     }
     if want_trace:
         report["trace"] = {
-            "reduction_steps": tr.reduction_steps,
+            "reduction_steps": rtrace.steps,
             "glue_rules": tr.glue_rules,
         }
     return sol, report

@@ -5,7 +5,7 @@ Used inside the main algorithm (base cases, type optima, contractibility
 tests) and as ground truth in the acceptance suite. Ties among equal-size
 optima break to the lexicographically smallest edge-id set.
 
-Three searches remain, with their bounds, all computed from degrees with
+Two searches remain, with their bounds, all computed from degrees with
 the standard library only:
 
 - `_min_inner_2ec`, the 2EC search behind `min_2ecss`, `min_inner_edges`
@@ -20,7 +20,6 @@ the standard library only:
   in O(1) on mutable edge arrays with an undo trail. It deepens from
   that bound like `_min_inner_2ec`, with unit propagation and a
   triangle test at the leaves, so its first cover is the answer.
-- `max_tf2matching`: kept edges plus half the remaining degree room.
 
 `find_contractible_subgraph` runs the exact 2EC search only on the few
 vertex sets W that cheap certificates leave open. For any 2EC spanning
@@ -404,97 +403,12 @@ def min_tf2ec(g: Graph, forced: Iterable[int] = (),
     raise ValueError("no triangle-free 2-edge cover containing forced set")
 
 
-# -- maximum triangle-free 2-matching -------------------------------------
-
-
-def max_tf2matching(g: Graph, deadline: Optional[float] = None) -> FrozenSet[int]:
-    """Maximum 2-matching of g containing no triangle, exact.
-
-    A 2-matching is an edge set with every degree <= 2; triangle-free means
-    no three of its edges form a triangle. Keep-first branch and bound.
-    """
-    eids = g.edge_ids()
-    best: List[List[int]] = [[]]
-    steps = [0]
-
-    def upper_bound(state: Dict[int, int]) -> int:
-        kept = sum(1 for s in state.values() if s == 1)
-        room = 0
-        for v in g.vertices:
-            kv = sum(1 for e in g.incident(v) if state[e.id] == 1)
-            av = sum(1 for e in g.incident(v) if state[e.id] == 0)
-            room += min(max(0, 2 - kv), av)
-        undecided = sum(1 for s in state.values() if s == 0)
-        return kept + min(undecided, room // 2)
-
-    def ok_to_keep(state: Dict[int, int], eid: int) -> bool:
-        e = g.edge(eid)
-        if e.is_loop():
-            return False
-        for v in (e.u, e.v):
-            if sum(1 for x in g.incident(v) if state[x.id] == 1) >= 2:
-                return False
-        # no triangle among kept edges
-        ku = {x.other(e.u) for x in g.incident(e.u) if state[x.id] == 1}
-        kv = {x.other(e.v) for x in g.incident(e.v) if state[x.id] == 1}
-        return not (ku & kv)
-
-    def dfs(state: Dict[int, int], idx: int) -> None:
-        steps[0] += 1
-        if steps[0] % 256 == 0:
-            _check_deadline(deadline)
-        kept = sorted(eid for eid, s in state.items() if s == 1)
-        if len(kept) > len(best[0]) or \
-                (len(kept) == len(best[0]) and kept < best[0]):
-            best[0] = kept
-        if idx == len(eids):
-            return
-        if upper_bound(state) < len(best[0]):
-            return
-        eid = eids[idx]
-        if ok_to_keep(state, eid):
-            child = dict(state)
-            child[eid] = 1
-            dfs(child, idx + 1)
-        child = dict(state)
-        child[eid] = -1
-        dfs(child, idx + 1)
-
-    dfs({eid: 0 for eid in eids}, 0)
-    return frozenset(best[0])
-
-
-def check_cover_matching_identity(g: Graph) -> bool:
-    """|min tf 2-edge cover| == 2|V| - |max tf 2-matching| on g."""
-    h = min_tf2ec(g)
-    m = max_tf2matching(g)
-    return len(h) == 2 * g.n - len(m)
-
-
 # -- contractibility ------------------------------------------------------
 
 
 def _below(x: int, alpha: Fraction) -> int:
     """Largest count strictly below x/alpha."""
     return math.ceil(Fraction(x) / alpha) - 1
-
-
-def is_alpha_contractible(g: Graph, c: Graph, alpha: Fraction,
-                          deadline: Optional[float] = None) -> bool:
-    """True iff every 2EC spanning subgraph of g keeps >= |E(c)|/alpha edges
-    of g[V(c)].
-
-    Computed as: no edge set H' ⊆ E(g[V(c)]) with |H'| < |E(c)|/alpha makes
-    (g − E(g[V(c)])) ∪ H' 2EC spanning. c must itself be 2EC.
-    """
-    if not is_2ec(c):
-        return False
-    w = set(c.vertices)
-    inner = [e.id for e in g.edges() if e.u in w and e.v in w]
-    cap = _below(c.m, alpha)
-    if cap < 0:
-        return True
-    return min_inner_edges(g, inner, cap, deadline) is None
 
 
 def _two_ends_each(w: FrozenSet[int], far: Dict[int, List[int]]) -> bool:

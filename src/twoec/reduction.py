@@ -18,11 +18,12 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
 from .cover import GUESS_VERTICES
 from .errors import InfeasibleError, InternalContradiction
 from .graph import (VIRTUAL_BASE, Edge, Graph, components, cut_vertices,
-                    find_irrelevant_edge, is_2ec, is_2vc, two_vertex_cuts)
+                    find_irrelevant_edge, is_2ec, two_vertex_cuts)
 from .oracle import (OracleBudget, find_contractible_subgraph, min_2ecss,
                      opt_type)
 
 ALPHA_DEFAULT = Fraction(5, 4)
+ALPHA_MIN = Fraction(6, 5)
 
 Solver = Callable[[Graph], FrozenSet[int]]
 
@@ -36,32 +37,11 @@ class CutPartition:
 
 
 @dataclass
-class ReductionStep:
-    rule: str
-    n: int
-    m: int
-    witness: Tuple = ()
-    patch: Tuple[int, ...] = ()
-
-
-@dataclass
 class ReductionTrace:
-    steps: List[ReductionStep] = field(default_factory=list)
+    """The names of the rules that fired, in order, and the graphs handed
+    to the structured solver."""
+    steps: List[str] = field(default_factory=list)
     dispatched: List[Graph] = field(default_factory=list)
-
-    def record(self, rule: str, g: Graph, witness: Tuple = (),
-               patch: Tuple[int, ...] = ()) -> None:
-        self.steps.append(ReductionStep(rule, g.n, g.m, witness, patch))
-
-
-@dataclass
-class StructureReport:
-    ok: bool
-    reason: Optional[str] = None
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = None,
@@ -72,7 +52,7 @@ def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = No
     Returns (edge ids of a 2EC spanning subgraph of g, trace). Raises
     InfeasibleError when g is not 2EC.
     """
-    if alpha < Fraction(6, 5):
+    if alpha < ALPHA_MIN:
         raise ValueError("alpha must be at least 6/5")
     if g.n < 3:
         raise InfeasibleError("need at least 3 vertices")
@@ -105,7 +85,7 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
         n = g.n
 
         if n <= _small_threshold(alpha):
-            trace.record("brute_force", g)
+            trace.steps.append("brute_force")
             cap = max(budget.vertex_cap, math.floor(_small_threshold(alpha)))
             return min_2ecss(g, OracleBudget(cap, budget.time_cap,
                                              budget.subset_budget))
@@ -116,27 +96,27 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
             comps = components(g.without_vertices({v}))
             v1 = set(comps[0])
             v2 = set().union(*comps[1:])
-            trace.record("one_cut", g, witness=(v,))
+            trace.steps.append("one_cut")
             s1 = _red(g.induced(v1 | {v}), alpha, alg, budget, trace, ids)
             s2 = _red(g.induced(v2 | {v}), alpha, alg, budget, trace, ids)
             return s1 | s2
 
         e = _parallel_or_loop(g)
         if e is not None:
-            trace.record("parallel_loop", g, witness=(e.id,))
+            trace.steps.append("parallel_loop")
             g = g.without_edges([e.id])
             continue
 
         ir = find_irrelevant_edge(g)
         if ir is not None:
-            trace.record("irrelevant", g, witness=(ir.id,))
+            trace.steps.append("irrelevant")
             g = g.without_edges([ir.id])
             continue
 
         h = find_contractible_subgraph(g, alpha, budget)
         if h is not None:
             gc, _vmap = g.contract(h.vertices)
-            trace.record("contract", g, witness=tuple(sorted(h.vertices)))
+            trace.steps.append("contract")
             rec = _red(gc, alpha, alg, budget, trace, ids)
             return frozenset(h.edge_set() | rec)
 
@@ -149,7 +129,7 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
         if alg is None:
             raise InternalContradiction(
                 "structured instance but no solver given", counterexample=g)
-        trace.record("dispatch_alg", g)
+        trace.steps.append("dispatch_alg")
         trace.dispatched.append(g)
         sol = alg(g)
         if not is_2ec(g.spanning(sol)):
@@ -214,20 +194,17 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
     contract_thr = Fraction(2) / (alpha - 1)
 
     if g2.n <= _small_threshold(alpha):
-        trace.record("brute_force", g, witness=(u, v))
+        trace.steps.append("brute_force")
         return _opt_via_types(g, g1, g2, u, v, budget)
 
     if g1.n > contract_thr:
         parts = []
-        trace.record("two_cut_both_big", g, witness=(u, v))
-        step = trace.steps[-1]
+        trace.steps.append("two_cut_both_big")
         for gi in (g1, g2):
             gic, _ = gi.contract({u, v})
             parts.append(_red(gic, alpha, alg, budget, trace, ids))
         s = parts[0] | parts[1]
-        f = _min_patch(g, s, 2)
-        step.patch = tuple(sorted(f))
-        return s | f
+        return s | _min_patch(g, s, 2)
 
     deadline = budget.deadline()
     opt_1b = opt_type(g1, u, v, "B", g_full=g, deadline=deadline)
@@ -236,13 +213,9 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
     if opt_1c is not None and (opt_1b is None or len(opt_1c) <= len(opt_1b) - 1):
         eid = next(ids)
         g2pp = g2.with_edges([Edge(eid, u, v)])
-        trace.record("two_cut_type_C", g, witness=(u, v))
-        step = trace.steps[-1]
-        s2 = _red(g2pp, alpha, alg, budget, trace, ids) - {eid}
-        s = opt_1c | s2
-        f = _min_patch(g, s, 1)
-        step.patch = tuple(sorted(f))
-        return s | f
+        trace.steps.append("two_cut_type_C")
+        s = opt_1c | (_red(g2pp, alpha, alg, budget, trace, ids) - {eid})
+        return s | _min_patch(g, s, 1)
 
     if opt_1b is None:
         raise InternalContradiction("no type-B side at a non-isolating cut",
@@ -250,7 +223,7 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
     w = next(ids)
     e1, e2 = next(ids), next(ids)
     g2ppp = g2.with_edges([Edge(e1, u, w), Edge(e2, v, w)], extra_vertices=[w])
-    trace.record("two_cut_type_AB", g, witness=(u, v))
+    trace.steps.append("two_cut_type_AB")
     s2 = _red(g2ppp, alpha, alg, budget, trace, ids)
     if e1 not in s2 or e2 not in s2:
         raise InternalContradiction("dummy edges missing from sub-solution",
@@ -318,29 +291,3 @@ def _opt_via_types(g: Graph, g1: Graph, g2: Graph, u: int, v: int,
                                     "solution", counterexample=g)
     return sol
 
-
-def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT,
-                  budget: Optional[OracleBudget] = None) -> StructureReport:
-    """Check the full structured-instance contract, cheapest tests first."""
-    for e in g.edges():
-        if e.is_loop():
-            return StructureReport(False, "loop", e)
-    p = _parallel_or_loop(g)
-    if p is not None:
-        return StructureReport(False, "parallel_edge", p)
-    if g.n < Fraction(4) / (alpha - 1):
-        return StructureReport(False, "too_small", g.n)
-    if not is_2vc(g):
-        cuts = cut_vertices(g)
-        return StructureReport(False, "not_2vc", min(cuts) if cuts else None)
-    ir = find_irrelevant_edge(g)
-    if ir is not None:
-        return StructureReport(False, "irrelevant_edge", ir)
-    for (a, b), kind in two_vertex_cuts(g):
-        if kind == "non_isolating":
-            return StructureReport(False, "non_isolating_cut", (a, b))
-    h = find_contractible_subgraph(g, alpha, budget)
-    if h is not None:
-        return StructureReport(False, "contractible_subgraph",
-                               tuple(sorted(h.vertices)))
-    return StructureReport(True)

@@ -1,0 +1,146 @@
+"""Reference implementations that only the tests call.
+
+The solver does not run these. They state a property of its inputs or
+outputs directly, so the tests can check the solver against them:
+
+- `is_structured`: the structured-instance contract that every graph
+  handed to the structured solver must meet.
+- `max_tf2matching` and `check_cover_matching_identity`: the duality
+  between triangle-free 2-edge covers and triangle-free 2-matchings.
+- `is_alpha_contractible`: the definition of an alpha-contractible
+  subgraph, tested on one given subgraph.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, FrozenSet, List, Optional
+
+from twoec.graph import (Graph, cut_vertices, find_irrelevant_edge, is_2ec,
+                         is_2vc, two_vertex_cuts)
+from twoec.oracle import (OracleBudget, _below, find_contractible_subgraph,
+                          min_inner_edges, min_tf2ec)
+from twoec.reduction import ALPHA_DEFAULT, _parallel_or_loop
+
+
+# -- the structured-instance contract --------------------------------------
+
+
+@dataclass
+class StructureReport:
+    ok: bool
+    reason: Optional[str] = None
+    witness: object = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT,
+                  budget: Optional[OracleBudget] = None) -> StructureReport:
+    """Check the full structured-instance contract, cheapest tests first."""
+    for e in g.edges():
+        if e.is_loop():
+            return StructureReport(False, "loop", e)
+    p = _parallel_or_loop(g)
+    if p is not None:
+        return StructureReport(False, "parallel_edge", p)
+    if g.n < Fraction(4) / (alpha - 1):
+        return StructureReport(False, "too_small", g.n)
+    if not is_2vc(g):
+        cuts = cut_vertices(g)
+        return StructureReport(False, "not_2vc", min(cuts) if cuts else None)
+    ir = find_irrelevant_edge(g)
+    if ir is not None:
+        return StructureReport(False, "irrelevant_edge", ir)
+    for (a, b), kind in two_vertex_cuts(g):
+        if kind == "non_isolating":
+            return StructureReport(False, "non_isolating_cut", (a, b))
+    h = find_contractible_subgraph(g, alpha, budget)
+    if h is not None:
+        return StructureReport(False, "contractible_subgraph",
+                               tuple(sorted(h.vertices)))
+    return StructureReport(True)
+
+
+# -- maximum triangle-free 2-matching --------------------------------------
+
+
+def max_tf2matching(g: Graph) -> FrozenSet[int]:
+    """Maximum 2-matching of g containing no triangle, exact.
+
+    A 2-matching is an edge set with every degree <= 2; triangle-free means
+    no three of its edges form a triangle. Keep-first branch and bound,
+    bounded by kept edges plus half the remaining degree room.
+    """
+    eids = g.edge_ids()
+    best: List[List[int]] = [[]]
+
+    def upper_bound(state: Dict[int, int]) -> int:
+        kept = sum(1 for s in state.values() if s == 1)
+        room = 0
+        for v in g.vertices:
+            kv = sum(1 for e in g.incident(v) if state[e.id] == 1)
+            av = sum(1 for e in g.incident(v) if state[e.id] == 0)
+            room += min(max(0, 2 - kv), av)
+        undecided = sum(1 for s in state.values() if s == 0)
+        return kept + min(undecided, room // 2)
+
+    def ok_to_keep(state: Dict[int, int], eid: int) -> bool:
+        e = g.edge(eid)
+        if e.is_loop():
+            return False
+        for v in (e.u, e.v):
+            if sum(1 for x in g.incident(v) if state[x.id] == 1) >= 2:
+                return False
+        # no triangle among kept edges
+        ku = {x.other(e.u) for x in g.incident(e.u) if state[x.id] == 1}
+        kv = {x.other(e.v) for x in g.incident(e.v) if state[x.id] == 1}
+        return not (ku & kv)
+
+    def dfs(state: Dict[int, int], idx: int) -> None:
+        kept = sorted(eid for eid, s in state.items() if s == 1)
+        if len(kept) > len(best[0]) or \
+                (len(kept) == len(best[0]) and kept < best[0]):
+            best[0] = kept
+        if idx == len(eids):
+            return
+        if upper_bound(state) < len(best[0]):
+            return
+        eid = eids[idx]
+        if ok_to_keep(state, eid):
+            child = dict(state)
+            child[eid] = 1
+            dfs(child, idx + 1)
+        child = dict(state)
+        child[eid] = -1
+        dfs(child, idx + 1)
+
+    dfs({eid: 0 for eid in eids}, 0)
+    return frozenset(best[0])
+
+
+def check_cover_matching_identity(g: Graph) -> bool:
+    """|min tf 2-edge cover| == 2|V| - |max tf 2-matching| on g."""
+    h = min_tf2ec(g)
+    m = max_tf2matching(g)
+    return len(h) == 2 * g.n - len(m)
+
+
+# -- contractibility -------------------------------------------------------
+
+
+def is_alpha_contractible(g: Graph, c: Graph, alpha: Fraction) -> bool:
+    """True iff every 2EC spanning subgraph of g keeps >= |E(c)|/alpha edges
+    of g[V(c)].
+
+    Computed as: no edge set H' ⊆ E(g[V(c)]) with |H'| < |E(c)|/alpha makes
+    (g − E(g[V(c)])) ∪ H' 2EC spanning. c must itself be 2EC.
+    """
+    if not is_2ec(c):
+        return False
+    w = set(c.vertices)
+    inner = [e.id for e in g.edges() if e.u in w and e.v in w]
+    cap = _below(c.m, alpha)
+    if cap < 0:
+        return True
+    return min_inner_edges(g, inner, cap) is None

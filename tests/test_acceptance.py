@@ -22,11 +22,11 @@ from twoec.gluing import build_context, glue_all, local_3_matching
 from twoec.graph import Edge, Graph, bridges, components, is_2ec
 from twoec.harness import (baseline_dfs2, generate, report_json, solve,
                            structured_solver)
-from twoec.oracle import (OracleBudget, check_cover_matching_identity,
-                          min_2ecss)
-from twoec.reduction import is_structured, reduce
+from twoec.oracle import OracleBudget, min_2ecss
+from twoec.reduction import reduce
 
 from conftest import random_2ec_graph
+from reference import check_cover_matching_identity, is_structured
 
 
 def _cyc(n):
@@ -81,18 +81,18 @@ class DispatchAudit:
         cov2 = cover_all(g, cov, moves=moves)
         # criterion 4: each bridge-covering move strictly reduces the
         # bridge count and never raises the cost
-        s = cov.edges
+        s = cov
         for mv in moves:
             s2 = (s | mv.added) - mv.removed
             assert cover_cost(g, s2) <= cover_cost(g, s)
             assert mv.cost_delta >= 0
             assert len(bridges(g.spanning(s2))) < len(bridges(g.spanning(s)))
             s = s2
-        assert s == cov2.edges
+        assert s == cov2
 
-        final, gmoves = glue_all(g, cov2.edges)
+        final, gmoves = glue_all(g, cov2)
         # criterion 4: each glue move merges components and releases cost
-        s = cov2.edges
+        s = cov2
         for mv in gmoves:
             s2 = (s | mv.added) - mv.removed
             assert mv.cost_delta >= 0
@@ -106,8 +106,8 @@ class DispatchAudit:
         assert s == final
 
         # criterion 7: the local 3-matching guarantee, probed directly
-        if len(components(g.spanning(cov2.edges))) > 1:
-            ctx = build_context(g, cov2.edges)
+        if len(components(g.spanning(cov2))) > 1:
+            ctx = build_context(g, cov2)
             small = [r for r in ctx.block if ctx.comp_size(r) <= 7]
             for r in small:
                 assert len(local_3_matching(ctx, ctx.block, {r})) >= 3

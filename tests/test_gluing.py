@@ -282,18 +282,18 @@ class TestGlueAll:
             h = initial_cover(g, f)
             cov = canonicalize(g, h)
             cov = cover_all(g, cov)
-            final, moves = glue_all(g, cov.edges)
+            final, moves = glue_all(g, cov)
             sub = g.spanning(final)
             assert sub.n == g.n
             assert is_2ec(sub)
-            assert cover_cost(g, final) <= cover_cost(g, cov.edges)
+            assert cover_cost(g, final) <= cover_cost(g, cov)
             assert Fraction(len(final)) == cover_cost(g, final) - 2
 
     def test_deterministic(self, rng):
         g = random_2ec_graph(rng, 12)
         h = canonicalize(g, initial_cover(g, frozenset()))
         h = cover_all(g, h)
-        a, am = glue_all(g, h.edges)
-        b, bm = glue_all(g, h.edges)
+        a, am = glue_all(g, h)
+        b, bm = glue_all(g, h)
         assert a == b
         assert [m.rule for m in am] == [m.rule for m in bm]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from twoec.graph import (
     Edge, Graph, biconnected_blocks, bridges, component_graph, components,
-    connected_subsets, cut_vertices, cycle_through_two, find_cross_matching,
+    connected_subsets, cut_vertices, find_cross_matching,
     find_irrelevant_edge, hamiltonian_path, is_2ec, is_2vc, is_connected,
     path_avoiding, two_ec_blocks, two_vertex_cuts,
 )
@@ -304,20 +304,3 @@ class TestMatchingAndPaths:
         p = Graph.from_edge_list(3, [(0, 1), (1, 2)])
         assert path_avoiding(p, [0], [2], [1]) is None
         assert path_avoiding(p, [0], [0], []) == []
-
-    def test_cycle_through_two(self, rng):
-        for _ in range(30):
-            n = rng.randint(4, 10)
-            g = random_2ec_graph(rng, n, extra=rng.randint(0, 4))
-            x, y = rng.sample(range(n), 2)
-            cyc = cycle_through_two(g, x, y)
-            assert cyc is not None  # 2EC graph: every pair on a cycle? 2VC needed
-            sub = g.subgraph([e.id for e in cyc])
-            assert x in sub and y in sub
-            assert all(sub.degree(v) == 2 for v in sub.vertices)
-            assert is_connected(sub)
-
-    def test_cycle_through_two_parallel(self):
-        g = Graph([0, 1], [Edge(0, 0, 1), Edge(1, 0, 1)])
-        cyc = cycle_through_two(g, 0, 1)
-        assert cyc is not None and len(cyc) == 2

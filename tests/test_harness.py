@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +170,26 @@ class TestCli:
         code, out, _ = self.run(["verify", str(inst), str(bad)], capsys)
         assert code == 1
 
+    def test_verify_non_integer_token(self, tmp_path, capsys):
+        inst = tmp_path / "i.txt"
+        self.run(["gen", "gnp_2ec", "--n", "10", "--seed", "1",
+                  "--out", str(inst)], capsys)
+        bad = tmp_path / "s.txt"
+        bad.write_text("0 1 x2")
+        code, _, err = self.run(["verify", str(inst), str(bad)], capsys)
+        assert code == 3
+        assert err.count("\n") == 1 and "'x2'" in err
+
+    @pytest.mark.parametrize("alpha", ["five", "1/0", "1", "6/5-"])
+    def test_bad_alpha_exit_code(self, tmp_path, capsys, alpha):
+        inst = tmp_path / "i.txt"
+        self.run(["gen", "gnp_2ec", "--n", "10", "--seed", "1",
+                  "--out", str(inst)], capsys)
+        code, _, err = self.run(["solve", str(inst), "--alpha", alpha],
+                                capsys)
+        assert code == 3
+        assert err.startswith("parse error: --alpha") and err.count("\n") == 1
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         inst = tmp_path / "bad.txt"
         inst.write_text("p 3 1\ne 0 9\n")
@@ -216,6 +237,21 @@ class TestCli:
     def test_bench_empty_corpus(self, capsys, tmp_path):
         code, out, _ = self.run(["bench", str(tmp_path)], capsys)
         assert code == 0
+        # two real instances, solved in a process pool
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for family, n in (("gnp_2ec", 10), ("hamiltonian_plus_chords", 12)):
+            self.run(["gen", family, "--n", str(n), "--seed", "1",
+                      "--out", str(corpus / f"{family}.txt")], capsys)
+        rep = tmp_path / "bench.json"
+        code, _, err = self.run(["bench", str(corpus), "--with-opt",
+                                 "--jobs", "2", "--report", str(rep)], capsys)
+        assert code == 0, err
+        rows = json.loads(rep.read_text())["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["opt"] <= min(row["paper54"], row["dfs2approx"])
+            assert Fraction(row["ratio"]) <= Fraction(5, 4)
 
     def test_compare_with_opt(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
@@ -225,6 +261,5 @@ class TestCli:
         assert code == 0
         rep = json.loads(out)
         assert rep["size"] <= rep["dfs2approx"] or rep["ratio"] == "1"
-        from fractions import Fraction
         assert Fraction(rep["ratio"]) <= Fraction(5, 4)
         assert Fraction(rep["baseline_ratio"]) <= 2

@@ -6,10 +6,11 @@ from twoec.errors import InfeasibleError, InternalContradiction
 from twoec.graph import Graph, is_2ec
 from twoec.harness import solve
 from twoec.oracle import OracleBudget, min_2ecss
-from twoec.reduction import (CutPartition, handle_two_cut, is_structured,
+from twoec.reduction import (CutPartition, ReductionTrace, handle_two_cut,
                              partition_non_isolating, reduce)
 
 from conftest import random_2ec_graph
+from reference import is_structured
 
 
 def exact_alg(g):
@@ -91,7 +92,7 @@ class TestReduceSmall:
         g = Graph.from_edge_list(17, cycle(17) + [(0, 0)] * 1100)
         sol, trace = reduce(g)
         assert sol == frozenset(range(17))
-        assert sum(s.rule == "parallel_loop" for s in trace.steps) == 1100
+        assert trace.steps.count("parallel_loop") == 1100
 
 
 class TestReduceRules:
@@ -100,7 +101,7 @@ class TestReduceRules:
         sol, trace = reduce(g)
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 18  # a Hamiltonian cycle is optimal
-        assert any(s.rule == "irrelevant" for s in trace.steps)
+        assert "irrelevant" in trace.steps
 
     def test_contract_hanging_square(self):
         pairs = cycle(16) + [(16, 17), (17, 18), (18, 19), (19, 16),
@@ -108,7 +109,7 @@ class TestReduceRules:
         g = Graph.from_edge_list(20, pairs)
         sol, trace = reduce(g)
         assert is_2ec(g.spanning(sol))
-        assert any(s.rule == "contract" for s in trace.steps)
+        assert "contract" in trace.steps
         assert len(sol) == len(min_2ecss(g, OracleBudget(vertex_cap=20)))
 
     def test_both_big_barbell(self):
@@ -129,12 +130,11 @@ class TestReduceRules:
         # relabel-free split: interior run 1..6 on one side, rest on the other
         cut = CutPartition(0, 7, frozenset(range(1, 7)),
                            frozenset(range(8, 28)))
-        from twoec.reduction import ReductionTrace
         trace = ReductionTrace()
         sol = handle_two_cut(g, cut, trace=trace)
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 28
-        assert trace.steps[0].rule == "two_cut_type_AB"
+        assert trace.steps[0] == "two_cut_type_AB"
 
     def test_type_c_branch_with_pendant_squares(self):
         # squares through u=0 and v=1, plus two long disjoint u-v paths
@@ -150,12 +150,11 @@ class TestReduceRules:
         assert is_2ec(g)
         cut = CutPartition(0, 1, frozenset({2, 3, 4, 5, 6, 7}),
                            frozenset(left + right))
-        from twoec.reduction import ReductionTrace
         trace = ReductionTrace()
         sol = handle_two_cut(g, cut, trace=trace)
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 30 == g.m  # every edge is forced by a degree-2 vertex
-        assert trace.steps[0].rule == "two_cut_type_C"
+        assert trace.steps[0] == "two_cut_type_C"
 
     def test_broken_structured_solver_is_caught(self):
         # the prism C9 x K2 reduces by no rule and is dispatched whole; an

@@ -175,20 +175,23 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="twoec")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("instance", help="instance file, or - for stdin")
-        p.add_argument("--alpha", default="5/4")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trace", action="store_true")
-        p.add_argument("--oracle-vertex-cap", type=int, default=16)
-        p.add_argument("--oracle-time-cap", type=float, default=None)
-        p.add_argument("--max-guesses", type=int, default=None)
-        p.add_argument("--first-feasible", action="store_true")
-        p.add_argument("--with-opt", action="store_true",
-                       help="also run the exact oracle and report the ratio")
-        p.add_argument("--report", default=None,
-                       help="write the JSON report here instead of stdout")
+    # flag groups; each subcommand gets only the flags it reads
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("instance", help="instance file, or - for stdin")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--oracle-vertex-cap", type=int, default=16)
+    budget.add_argument("--oracle-time-cap", type=float, default=None)
+    budget.add_argument("--report", default=None,
+                        help="write the JSON report here instead of stdout")
+    with_opt = argparse.ArgumentParser(add_help=False, parents=[budget])
+    with_opt.add_argument("--with-opt", action="store_true",
+                          help="also run the exact oracle and report the ratio")
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[with_opt])
+    pipeline.add_argument("--alpha", default="5/4")
+    pipeline.add_argument("--seed", type=int, default=None)
+    pipeline.add_argument("--trace", action="store_true")
+    pipeline.add_argument("--max-guesses", type=int, default=None)
+    pipeline.add_argument("--first-feasible", action="store_true")
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("family", choices=FAMILIES)
@@ -199,28 +202,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="run the 5/4 pipeline")
-    common(p)
-    p.set_defaults(func=cmd_solve)
+    sub.add_parser("solve", help="run the 5/4 pipeline",
+                   parents=[instance, pipeline]).set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="check a solution file")
-    common(p)
+    p = sub.add_parser("verify", help="check a solution file",
+                       parents=[instance, with_opt])
     p.add_argument("solution", help="file of whitespace-separated edge ids")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="exact minimum via branch and bound")
-    common(p)
-    p.set_defaults(func=cmd_oracle)
+    sub.add_parser("oracle", help="exact minimum via branch and bound",
+                   parents=[instance, budget]).set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bench", help="run a corpus")
-    common(p, instance=False)
+    p = sub.add_parser("bench", help="run a corpus", parents=[pipeline])
     p.add_argument("instances", nargs="*", help="files or directories")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("compare", help="pipeline vs DFS baseline")
-    common(p)
-    p.set_defaults(func=cmd_compare)
+    sub.add_parser("compare", help="pipeline vs DFS baseline",
+                   parents=[instance, pipeline]).set_defaults(func=cmd_compare)
     return top
 
 

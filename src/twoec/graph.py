@@ -7,12 +7,13 @@ choices elsewhere in the package resolve to the smallest id.
 
 `biconnected_blocks` is the one connectivity core: a single lowpoint DFS
 whose blocks give the bridges (one-edge blocks), the cut vertices (vertices
-in two or more blocks) and, through the cut vertices of g - u, the 2-vertex
-cuts. `connected_subsets` is the one enumerator of small connected vertex
-sets, shared by the guess enumeration and the contractibility search. The
-exact oracle keeps its own bridge test, `oracle._EdgeArrays.is_2ec_now`: it
-runs on mutable edge arrays inside the branch and bound, stops at the first
-bridge, and would otherwise need a fresh `Graph` at every search node.
+in two or more blocks) and, from the blocks of g - u, whether each {u, v}
+is a 2-vertex cut and of which class. `connected_subsets` is the one
+enumerator of small connected vertex sets, shared by the guess enumeration
+and the contractibility search. The exact oracle keeps its own bridge test,
+`oracle._EdgeArrays.is_2ec_now`: it runs on mutable edge arrays inside the
+branch and bound, stops at the first bridge, and would otherwise need a
+fresh `Graph` at every search node.
 """
 
 from __future__ import annotations
@@ -332,41 +333,36 @@ def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
 
     {u,v} is a cut if g - {u,v} is disconnected; isolating means exactly two
     components, one of them a single vertex. Pairs come in lexicographic
-    order. When g - u is connected its partners v are exactly its cut
-    vertices, so one block DFS per u replaces the scan over every v.
+    order. One block DFS of g - u classifies every v: g - {u,v} has spare +
+    count[v] components, where count[v] is the number of blocks holding v
+    and spare, the components of g - u less one, is n - 2 - sum(|B| - 1);
+    x != v is alone there when x lies in no block, or only in {v, x}.
     """
     out = []
     vs = g.vertices
     for i, u in enumerate(vs):
-        rest = g.without_vertices((u,))
-        if is_connected(rest):
-            partners = sorted(v for v in cut_vertices(rest) if v > u)
-        else:
-            partners = vs[i + 1:]
-        for v in partners:
-            comps = components(rest.without_vertices((v,)))
-            if len(comps) <= 1:
-                continue
-            if len(comps) == 2 and min(len(c) for c in comps) == 1:
-                out.append(((u, v), "isolating"))
-            else:
-                out.append(((u, v), "non_isolating"))
+        blocks = biconnected_blocks(g.without_vertices((u,)))
+        count = Counter(x for bvs, _es in blocks for x in bvs)
+        leaf_of = {y for bvs, _es in blocks if len(bvs) == 2
+                   for x in bvs if count[x] == 1 for y in bvs - {x}}
+        spare = len(vs) - 2 - sum(len(bvs) - 1 for bvs, _es in blocks)
+        lonely = len(vs) - 1 - len(count)   # vertices of g - u in no block
+        for v in vs[i + 1:]:
+            k = spare + count[v]
+            if k >= 2:
+                alone = v in leaf_of or lonely > (count[v] == 0)
+                out.append(((u, v), "isolating" if k == 2 and alone
+                            else "non_isolating"))
     return out
 
 
-def is_two_cut(g: Graph, u: int, v: int) -> bool:
-    rest = g.without_vertices((u, v))
-    return rest.n > 0 and len(components(rest)) > 1
-
-
-def find_irrelevant_edge(g: Graph) -> Optional[Edge]:
-    """Smallest-id edge uv such that {u,v} is a 2-vertex cut."""
-    for e in g.edges():
-        if e.is_loop():
-            continue
-        if is_two_cut(g, e.u, e.v):
-            return e
-    return None
+def find_irrelevant_edge(g: Graph, cuts: List[Tuple[Tuple[int, int], str]]
+                         ) -> Optional[List[int]]:
+    """Sorted ids of the edges uv whose ends are a listed 2-vertex cut, or
+    None when there are none; `cuts` is `two_vertex_cuts(g)`."""
+    pairs = {pair for pair, _kind in cuts}
+    ids = [e.id for e in g.edges() if e.ends in pairs]
+    return ids or None
 
 
 def connected_subsets(g: Graph, kmax: int) -> Iterator[FrozenSet[int]]:

@@ -78,9 +78,9 @@ def _small_threshold(alpha: Fraction) -> Fraction:
 def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
          budget: OracleBudget, trace: ReductionTrace,
          ids: Iterator[int]) -> FrozenSet[int]:
-    # The parallel_loop and irrelevant rules drop one edge and go round
-    # again rather than recurse, so many loops or parallel edges cannot
-    # reach the recursion limit; the other rules recurse on smaller graphs.
+    # parallel_loop drops one edge and irrelevant every listed edge; both go
+    # round again rather than recurse, so no number of such edges reaches
+    # the recursion limit. The other rules recurse on smaller graphs.
     while True:
         n = g.n
 
@@ -107,10 +107,18 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
             g = g.without_edges([e.id])
             continue
 
-        ir = find_irrelevant_edge(g)
-        if ir is not None:
-            trace.steps.append("irrelevant")
-            g = g.without_edges([ir.id])
+        # One cut scan per round serves the irrelevant and 2-cut rules.
+        # Dropping every edge at a listed cut at once reaches the graph and
+        # count that dropping the smallest one per round does: a cut stays a
+        # cut without e (g - e - {a, b} is within g - {a, b}); g is simple
+        # and 2-connected here and stays so without uv at a cut {u, v} (each
+        # side still joins u and v), so no earlier rule fires in between and
+        # the closure does not depend on the order.
+        cuts = two_vertex_cuts(g)
+        irrelevant = find_irrelevant_edge(g, cuts)
+        if irrelevant is not None:
+            trace.steps.extend(["irrelevant"] * len(irrelevant))
+            g = g.without_edges(irrelevant)
             continue
 
         h = find_contractible_subgraph(g, alpha, budget)
@@ -120,7 +128,9 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
             rec = _red(gc, alpha, alg, budget, trace, ids)
             return frozenset(h.edge_set() | rec)
 
-        pair = _smallest_non_isolating_cut(g)
+        # the smallest pair, as cuts come in lexicographic order
+        pair = next((pair for pair, kind in cuts if kind == "non_isolating"),
+                    None)
         if pair is not None:
             cut = partition_non_isolating(g, *pair)
             return handle_two_cut(g, cut, alpha, alg, budget=budget,
@@ -149,12 +159,6 @@ def _parallel_or_loop(g: Graph) -> Optional[Edge]:
             return e
         seen.add(key)
     return None
-
-
-def _smallest_non_isolating_cut(g: Graph) -> Optional[Tuple[int, int]]:
-    # two_vertex_cuts lists its pairs in lexicographic order
-    return next((pair for pair, kind in two_vertex_cuts(g)
-                 if kind == "non_isolating"), None)
 
 
 def partition_non_isolating(g: Graph, u: int, v: int) -> CutPartition:

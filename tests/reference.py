@@ -9,14 +9,17 @@ outputs directly, so the tests can check the solver against them:
   between triangle-free 2-edge covers and triangle-free 2-matchings.
 - `is_alpha_contractible`: the definition of an alpha-contractible
   subgraph, tested on one given subgraph.
+- `irrelevant_one_at_a_time`: the irrelevant-edge rule as one component
+  scan per edge, dropping the smallest-id irrelevant edge per round.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional
 
-from twoec.graph import (Graph, cut_vertices, find_irrelevant_edge, is_2ec,
-                         is_2vc, two_vertex_cuts)
+from twoec.graph import (Edge, Graph, components, cut_vertices,
+                         find_irrelevant_edge, is_2ec, is_2vc,
+                         two_vertex_cuts)
 from twoec.oracle import (OracleBudget, _below, find_contractible_subgraph,
                           min_inner_edges, min_tf2ec)
 from twoec.reduction import ALPHA_DEFAULT, _parallel_or_loop
@@ -49,10 +52,11 @@ def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT,
     if not is_2vc(g):
         cuts = cut_vertices(g)
         return StructureReport(False, "not_2vc", min(cuts) if cuts else None)
-    ir = find_irrelevant_edge(g)
+    cuts = two_vertex_cuts(g)
+    ir = find_irrelevant_edge(g, cuts)
     if ir is not None:
         return StructureReport(False, "irrelevant_edge", ir)
-    for (a, b), kind in two_vertex_cuts(g):
+    for (a, b), kind in cuts:
         if kind == "non_isolating":
             return StructureReport(False, "non_isolating_cut", (a, b))
     h = find_contractible_subgraph(g, alpha, budget)
@@ -144,3 +148,28 @@ def is_alpha_contractible(g: Graph, c: Graph, alpha: Fraction) -> bool:
     if cap < 0:
         return True
     return min_inner_edges(g, inner, cap) is None
+
+
+# -- the irrelevant-edge rule, one edge at a time ----------------------------
+
+
+def smallest_irrelevant_edge(g: Graph) -> Optional[Edge]:
+    """Smallest-id edge uv such that {u,v} is a 2-vertex cut."""
+    for e in g.edges():
+        if e.is_loop():
+            continue
+        rest = g.without_vertices((e.u, e.v))
+        if rest.n > 0 and len(components(rest)) > 1:
+            return e
+    return None
+
+
+def irrelevant_one_at_a_time(g: Graph) -> List[Graph]:
+    """The graphs the irrelevant rule passes through when each round drops
+    the smallest-id irrelevant edge, from g to the first graph with none."""
+    out = [g]
+    e = smallest_irrelevant_edge(g)
+    while e is not None:
+        out.append(out[-1].without_edges([e.id]))
+        e = smallest_irrelevant_edge(out[-1])
+    return out

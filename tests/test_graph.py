@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -151,21 +152,48 @@ class TestCuts:
                                    extra=rng.randint(0, 3)) for _ in range(30)]
         graphs += [random_multigraph(rng, rng.randint(3, 9), rng.randint(2, 14))
                    for _ in range(60)]
-        # some u must leave g - u disconnected, so the full scan runs too
+        # cycles (g - u a path: every v a partner), and a diamond with a
+        # pendant path, an isolated vertex and a looped one
+        graphs += [c_n(k) for k in range(3, 9)]
+        graphs.append(Graph(range(8), [
+            Edge(i, u, v) for i, (u, v) in enumerate(
+                [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 4), (4, 5),
+                 (7, 7)])]))
+        # some u must be a cut vertex, so that g - u is disconnected
         assert sum(1 for g in graphs if cut_vertices(g)) >= 10
         for g in graphs:
             assert two_vertex_cuts(g) == brute(g)
+        # every way of reading the blocks of g - u is exercised: g - u
+        # disconnected, and a vertex x != v alone in g - {u, v} because x
+        # lies in no block of g - u or its only block is {v, x}
+        cases = Counter()
+        for g in graphs:
+            for (u, v), kind in two_vertex_cuts(g):
+                rest = g.without_vertices([u])
+                blocks = [bvs for bvs, _es in biconnected_blocks(rest)]
+                if not is_connected(rest):
+                    cases["g - u disconnected"] += 1
+                if kind == "non_isolating":
+                    continue
+                for x in g.vertices:
+                    if x in (u, v):
+                        continue
+                    mine = [b for b in blocks if x in b]
+                    if not mine:
+                        cases["x in no block"] += 1
+                    elif mine == [frozenset((v, x))]:
+                        cases["only block {v, x}"] += 1
+        assert len(cases) == 3 and min(cases.values()) >= 10, cases
 
     def test_irrelevant_edge(self):
         # diamond: K4 minus one edge; edge 0-2 connects the two cut vertices
         g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-        e = find_irrelevant_edge(g)
-        assert e is not None and e.ends == (0, 2)
+        assert find_irrelevant_edge(g, two_vertex_cuts(g)) == [4]
 
     def test_irrelevant_edge_cycle(self):
         # cycles have 2-cuts but no edge between the cut pair
-        assert find_irrelevant_edge(c_n(4)) is None
-        assert find_irrelevant_edge(c_n(5)) is None
+        for g in (c_n(4), c_n(5)):
+            assert find_irrelevant_edge(g, two_vertex_cuts(g)) is None
 
 
 class TestConnectedSubsets:

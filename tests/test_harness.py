@@ -190,6 +190,20 @@ class TestCli:
         assert code == 3
         assert err.startswith("parse error: --alpha") and err.count("\n") == 1
 
+    def test_pipeline_flags_only_where_read(self, tmp_path, capsys):
+        # verify and oracle run no pipeline, so its flags are usage errors
+        inst = tmp_path / "i.txt"
+        self.run(["gen", "gnp_2ec", "--n", "10", "--seed", "1",
+                  "--out", str(inst)], capsys)
+        sol = tmp_path / "s.txt"
+        sol.write_text("0")
+        for argv in (["verify", str(inst), str(sol), "--alpha", "5/4"],
+                     ["oracle", str(inst), "--trace"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         inst = tmp_path / "bad.txt"
         inst.write_text("p 3 1\ne 0 9\n")

@@ -1,16 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from twoec import reduction
 from twoec.errors import InfeasibleError, InternalContradiction
-from twoec.graph import Graph, is_2ec
+from twoec.graph import Graph, is_2ec, is_2vc
 from twoec.harness import solve
 from twoec.oracle import OracleBudget, min_2ecss
 from twoec.reduction import (CutPartition, ReductionTrace, handle_two_cut,
                              partition_non_isolating, reduce)
 
 from conftest import random_2ec_graph
-from reference import is_structured
+from reference import irrelevant_one_at_a_time, is_structured
 
 
 def exact_alg(g):
@@ -102,6 +104,38 @@ class TestReduceRules:
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 18  # a Hamiltonian cycle is optimal
         assert "irrelevant" in trace.steps
+
+    def test_irrelevant_closure_matches_one_at_a_time(self, rng, monkeypatch):
+        # _red drops every edge at a listed cut in one round. Dropping the
+        # smallest-id irrelevant edge per round instead keeps g 2-connected
+        # at every step and reaches the same graph with as many removals.
+        # At alpha 2 graphs above 7 vertices reach the rule, and nothing is
+        # contractible (2/(alpha - 1) < 3), so the stand-in below records
+        # the graphs offered to the contract rule and finds nothing either;
+        # the first one is the closure.
+        offered = []
+
+        def record(g, alpha, budget):
+            offered.append(g)
+            return None
+
+        monkeypatch.setattr(reduction, "find_contractible_subgraph", record)
+        several = 0
+        for _ in range(60):
+            g = random_2ec_graph(rng, rng.randint(8, 12),
+                                 extra=rng.randint(2, 5))
+            steps = irrelevant_one_at_a_time(g)
+            assert all(is_2vc(h) for h in steps)
+            offered.clear()
+            _, trace = reduce(g, alpha=Fraction(2), alg=exact_alg)
+            closure = offered[0]
+            assert closure.vertices == steps[-1].vertices
+            assert closure.edges() == steps[-1].edges()
+            removed = len(steps) - 1
+            assert trace.steps[:removed] == ["irrelevant"] * removed
+            assert trace.steps[removed] != "irrelevant"
+            several += removed >= 2
+        assert several >= 10
 
     def test_contract_hanging_square(self):
         pairs = cycle(16) + [(16, 17), (17, 18), (18, 19), (19, 16),

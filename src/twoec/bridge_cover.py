@@ -116,7 +116,7 @@ def _reach_paths(tc: TcTree, w: Iterable[int],
     queue: deque = deque()
 
     def scan(node: int, eds: Tuple[int, ...], ins: Tuple[int, ...]) -> None:
-        for e in sorted(tc.gc.incident(node), key=lambda e: e.id):
+        for e in tc.gc.incident(node):
             if e.id in tc.tc_edges:
                 continue
             if allowed is not None and e.id not in allowed:
@@ -149,7 +149,7 @@ def _tree_dists(tree: Graph, src: int
     q = deque([src])
     while q:
         x = q.popleft()
-        for e in sorted(tree.incident(x), key=lambda e: e.id):
+        for e in tree.incident(x):
             y = e.other(x)
             if y not in dist:
                 dist[y] = dist[x] + 1
@@ -334,7 +334,7 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
         if tc.tc_nodes[u] != "lonely":
             raise InternalContradiction("near reachable node is a block",
                                         counterexample=(b, u))
-        cands = [x for x in sorted(tc.tree.neighbors(u))
+        cands = [x for x in tc.tree.neighbors(u)
                  if tc.tree.degree(x) == 1 and x in near]
         if not cands:
             raise InternalContradiction("no leaf block beside reachable node",

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 from . import harness
 from .errors import (InfeasibleError, InternalContradiction,
                      OracleBudgetError, OracleTimeout, ParseError)
+from .graph import is_2ec
 from .harness import (FAMILIES, baseline_dfs2, format_instance,
                       instance_hash, parse_instance, report_json,
                       report_with_opt, solve, verify)
@@ -99,6 +100,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _read_graph(args.instance)
+    if not is_2ec(g):
+        raise InfeasibleError("input graph is not 2-edge-connected")
     opt = min_2ecss(g, _budget(args))
     out = {"instance": instance_hash(g), "algorithm": "oracle",
            "n": g.n, "m": g.m, "solution": sorted(opt), "size": len(opt)}

@@ -276,8 +276,8 @@ def _rewire_leaf_block(g: Graph, h: FrozenSet[int]) -> Optional[FrozenSet[int]]:
                 path = hamiltonian_path(g, vs, u1, v1)
                 if path is None:
                     continue
-                out_edges = sorted(e.id for e in g.incident(v1)
-                                   if e.other(v1) not in vs)
+                out_edges = [e.id for e in g.incident(v1)
+                             if e.other(v1) not in vs]
                 if not out_edges:
                     continue
                 path_edges = set()
@@ -301,7 +301,7 @@ def _exchange_small_component(g: Graph, h: FrozenSet[int]
         cs = sub.induced(comp)
         if not is_2ec(cs) or cs.m >= 8 or cs.m == cs.n:
             continue
-        comp_edges = sorted(e.id for e in cs.edges())
+        comp_edges = cs.edge_ids()
         incident = sorted(e.id for v in comp for e in g.incident(v)
                           if e.id not in h)
         removals = [frozenset(c) for r in (1, 2)

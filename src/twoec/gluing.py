@@ -50,8 +50,7 @@ class GlueContext:
 
 def _dump(g: Graph, s: Iterable[int]) -> Dict[str, object]:
     return {"n": g.n,
-            "edges": [(e.id, e.u, e.v)
-                      for e in sorted(g.edges(), key=lambda e: e.id)],
+            "edges": [(e.id, e.u, e.v) for e in g.edges()],
             "cover": sorted(s)}
 
 
@@ -181,7 +180,7 @@ def _anchored_cycle(ctx: GlueContext, r1: int, r2: int,
     for rep in sorted(ctx.ghat.node_vertices):
         if rep not in (r1, r2) and ok(rep):
             net.add_arc(("ci", rep), ("co", rep), None)
-    for e in sorted(ctx.g.edges(), key=lambda e: e.id):
+    for e in ctx.g.edges():
         cu, cv = ctx.ghat.node_of(e.u), ctx.ghat.node_of(e.v)
         if cu == cv:
             continue
@@ -265,7 +264,7 @@ def _extend_cycle(ctx: GlueContext, ids: List[int], block: FrozenSet[int],
         if len(nodes) > 3:
             break
         progressed = False
-        for e in sorted(ctx.ghat.graph.edges(), key=lambda e: e.id):
+        for e in ctx.ghat.graph.edges():
             x, y = e.u, e.v
             if y in nodes and x not in nodes:
                 x, y = y, x
@@ -468,15 +467,14 @@ def _find_adjacent_move(ctx: GlueContext):
             continue
         vs = ctx.comp_vertices(c1)
         for u1 in sorted(vs):
-            anchors = sorted((e for e in ctx.g.incident(u1)
-                              if ctx.ghat.node_of(e.other(u1)) == ctx.anchor),
-                             key=lambda e: e.id)
+            anchors = [e for e in ctx.g.incident(u1)
+                       if ctx.ghat.node_of(e.other(u1)) == ctx.anchor]
             if not anchors:
                 continue
             for v1 in sorted(vs - {u1}):
                 if hamiltonian_path(ctx.g, vs, u1, v1) is None:
                     continue
-                for e_out in sorted(ctx.g.incident(v1), key=lambda e: e.id):
+                for e_out in ctx.g.incident(v1):
                     c2 = ctx.ghat.node_of(e_out.other(v1))
                     if c2 == c1:
                         continue
@@ -528,12 +526,12 @@ def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
     m3 = local_3_matching(ctx, bprime, {c1})
     vs1 = ctx.comp_vertices(c1)
     first = set(c1_gate_first)
-    anchored = [e for e in sorted(m3, key=lambda e: e.id)
+    anchored = [e for e in m3
                 if (e.u if e.u in vs1 else e.v) in first]
     if anchored:
         me = anchored[0]
     else:
-        spare = [e for e in sorted(m3, key=lambda e: e.id)
+        spare = [e for e in m3
                  if (e.u if e.u in vs1 else e.v) not in (u1, v1)]
         if not spare:
             raise InternalContradiction(
@@ -590,7 +588,7 @@ def _reroute_distinct(ctx: GlueContext, fids: List[int], c1: int, u1: int):
     nodes = set(_cycle_comps(ctx, fids))
     nbrs = sorted(r for r in nodes - {c1}
                   if _cycle_edge_between(ctx, fids, c1, r) is not None)
-    for me in sorted(m3, key=lambda e: e.id):
+    for me in m3:
         ui = me.u if me.u in vs1 else me.v
         if ui == u1:
             continue
@@ -779,7 +777,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
     m1 = ctx.comp_size(c1)
     if m1 >= 8:
         m3 = local_3_matching(ctx, B, {C})
-        e1, e2 = sorted(m3, key=lambda e: e.id)[:2]
+        e1, e2 = m3[:2]
         return _commit(ctx, set(ctx.s) | {e1.id, e2.id}, "double_edge_merge")
 
     m3 = local_3_matching(ctx, B, {c1})
@@ -799,7 +797,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
     # escape vertex: off the matched trio, with an edge leaving the block
     escape = None
     for x in sorted(vs1 - set(trio)):
-        for e in sorted(g.incident(x), key=lambda e: e.id):
+        for e in g.incident(x):
             xrep = ctx.ghat.node_of(e.other(x))
             if xrep in (c1, C):
                 continue
@@ -886,7 +884,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
                key=lambda e: e.id)
     extra = None
     for i in (4, 6, 2):
-        for e in sorted(g.incident(a[i]), key=lambda e: e.id):
+        for e in g.incident(a[i]):
             if e.other(a[i]) in vs2 and e.id != e_b1.id \
                     and (i != 2 or e.other(a[i]) != e_b1.other(x1)):
                 extra = (i, e)
@@ -911,15 +909,13 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
         # a second edge from x1 into the 5-cycle: trade one 5-cycle edge
         # for a matched pair of cross edges, then delete a 6-cycle edge
         pick = None
-        for ex in sorted((e for e in g.incident(x1) if e.other(x1) in vs2),
-                         key=lambda e: e.id):
+        for ex in (e for e in g.incident(x1) if e.other(x1) in vs2):
             b = ex.other(x1)
-            for bp in sorted(csub.neighbors(b)):
-                cands = sorted((e for e in g.edges()
-                                if e.id not in ctx.comp_edges[c1]
-                                and {e.u, e.v} & (vs1 - {x1})
-                                and bp in (e.u, e.v)),
-                               key=lambda e: e.id)
+            for bp in csub.neighbors(b):
+                cands = [e for e in g.edges()
+                         if e.id not in ctx.comp_edges[c1]
+                         and {e.u, e.v} & (vs1 - {x1})
+                         and bp in (e.u, e.v)]
                 if cands:
                     pick = (ex, b, bp, cands[0])
                     break
@@ -939,7 +935,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
     # two pendant 5-cycles: rewire both onto the 6-cycle, anchor untouched
     third = None
     for i in (2, 4, 6):
-        for e in sorted(g.incident(a[i]), key=lambda e: e.id):
+        for e in g.incident(a[i]):
             rep = ctx.ghat.node_of(e.other(a[i]))
             if rep not in (c1, C, c2):
                 third = rep
@@ -955,11 +951,9 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
     for rep in (c2, third):
         cs = g.spanning(ctx.comp_edges[rep])
         found = False
-        for ce in sorted(cs.edges(), key=lambda e: e.id):
-            h1 = sorted((e for e in g.incident(ce.u)
-                         if e.other(ce.u) in vs1), key=lambda e: e.id)
-            h2 = sorted((e for e in g.incident(ce.v)
-                         if e.other(ce.v) in vs1), key=lambda e: e.id)
+        for ce in cs.edges():
+            h1 = [e for e in g.incident(ce.u) if e.other(ce.u) in vs1]
+            h2 = [e for e in g.incident(ce.v) if e.other(ce.v) in vs1]
             if h1 and h2 and h1[0].id != h2[0].id:
                 gone.add(ce.id)
                 take.add(h1[0].id)

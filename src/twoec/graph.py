@@ -50,7 +50,11 @@ class Edge:
 
 
 class Graph:
-    """Immutable undirected multigraph. Loops and parallel edges allowed."""
+    """Immutable undirected multigraph. Loops and parallel edges allowed.
+
+    Edges are stored in ascending id order, so `edges()`, `edge_ids()` and
+    every `incident(v)` list come out ascending without a sort.
+    """
 
     __slots__ = ("_vertices", "_edges", "_adj")
 
@@ -85,10 +89,10 @@ class Graph:
         return len(self._edges)
 
     def edge_ids(self) -> List[int]:
-        return sorted(self._edges)
+        return list(self._edges)
 
     def edges(self) -> List[Edge]:
-        return [self._edges[i] for i in sorted(self._edges)]
+        return list(self._edges.values())
 
     def edge(self, eid: int) -> Edge:
         return self._edges[eid]
@@ -559,7 +563,7 @@ def path_avoiding(h: Graph, sources: Iterable[int], targets: Iterable[int],
     while qi < len(queue):
         x = queue[qi]
         qi += 1
-        for e in sorted(h.incident(x), key=lambda e: e.id):
+        for e in h.incident(x):
             y = e.other(x)
             if y in av or y in seen or e.is_loop():
                 continue

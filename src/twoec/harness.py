@@ -79,7 +79,7 @@ def parse_instance(text: str) -> Graph:
 def format_instance(g: Graph, comments: Iterable[str] = ()) -> str:
     lines = [f"c {c}" for c in comments]
     lines.append(f"p {g.n} {g.m}")
-    for e in sorted(g.edges(), key=lambda e: e.id):
+    for e in g.edges():
         lines.append(f"e {e.u} {e.v}")
     return "\n".join(lines) + "\n"
 
@@ -303,7 +303,7 @@ def baseline_dfs2(g: Graph) -> FrozenSet[int]:
     order: List[int] = [root]
 
     def out(u: int):
-        return iter(sorted(g.incident(u), key=lambda e: e.id))
+        return iter(g.incident(u))
 
     stack = [(root, out(root))]
     while stack:

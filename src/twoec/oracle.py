@@ -5,21 +5,20 @@ Used inside the main algorithm (base cases, type optima, contractibility
 tests) and as ground truth in the acceptance suite. Ties among equal-size
 optima break to the lexicographically smallest edge-id set.
 
-Two searches remain, with their bounds, all computed from degrees with
-the standard library only:
+One search, `_deepen`, computes both exact objects, with bounds computed
+from degrees with the standard library only. It deepens on the kept
+count from a degree-deficiency bound with a keep-first DFS in ascending
+edge-id order, so its first hit is the (size, lex) minimum, on an
+explicit frame stack that never recurses. Its callers differ in three
+ways, each an argument:
 
-- `_min_inner_2ec`, the 2EC search behind `min_2ecss`, `min_inner_edges`
-  and `opt_type`: every vertex ends with degree >= 2, so half of
-  sum_v max(2, committed degree of v), less the free edges, bounds the
-  kept count from below; with no free edge that is n. The search deepens
-  from there and needs no upper bound: keeping every edge is a solution,
-  so the first feasible count is the optimum and comes at the latest at
-  the edge count. `opt_type` runs it with 0, 1 or 2 free virtual u–v
-  edges (types A, B, C) and a leaf test on the type.
-- `min_tf2ec`: kept edges plus half the summed degree deficiency, kept
-  in O(1) on mutable edge arrays with an undo trail. It deepens from
-  that bound like `_min_inner_2ec`, with unit propagation and a
-  triangle test at the leaves, so its first cover is the answer.
+- free edges: `min_inner_edges` and `opt_type` keep some edges without
+  counting them (`min_2ecss` has none, `min_tf2ec` counts its forced
+  edges);
+- `connected`: the 2EC searches drop an edge only while the rest stays
+  2EC, and ask a lone vertex for no degree;
+- the leaf test: 2EC of free ∪ kept, and for `opt_type` the type; or, for
+  `min_tf2ec`, no triangle component.
 
 `find_contractible_subgraph` runs the exact 2EC search only on the few
 vertex sets W that cheap certificates leave open. For any 2EC spanning
@@ -64,47 +63,7 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise OracleTimeout("oracle time cap exceeded")
 
 
-# -- minimum 2EC spanning subgraph ----------------------------------------
-
-
-def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None,
-              deadline: Optional[float] = None) -> FrozenSet[int]:
-    """Minimum-cardinality 2EC spanning subgraph of g, exact.
-
-    Raises OracleBudgetError above the vertex cap, OracleTimeout past the
-    time cap, or past `deadline` (a `time.monotonic` instant) when one is
-    given in its place. g must be 2EC; ValueError otherwise.
-    """
-    budget = budget or DEFAULT_BUDGET
-    if deadline is None:
-        deadline = budget.deadline()
-    if g.n > budget.vertex_cap:
-        raise OracleBudgetError(
-            f"min_2ecss called with n={g.n} > cap {budget.vertex_cap}")
-    try:
-        return _min_inner_2ec(g, frozenset(), g.edge_ids(), None, deadline)[1]
-    except _NoSolution:
-        raise ValueError("min_2ecss input must be 2EC") from None
-
-
-def min_inner_edges(g: Graph, inner: Sequence[int], cap: Optional[int],
-                    deadline: Optional[float] = None
-                    ) -> Optional[Tuple[int, FrozenSet[int]]]:
-    """Minimize |H' ∩ inner| such that (g − inner) ∪ H' is 2EC spanning.
-
-    Edges outside `inner` are free (always present, not counted). Returns
-    (count, chosen inner edges) or None if no solution with count <= cap.
-    """
-    free = frozenset(g.edge_ids()) - set(inner)
-    try:
-        cnt, sol = _min_inner_2ec(g, free, sorted(inner), cap, deadline)
-    except _NoSolution:
-        return None
-    return cnt, sol
-
-
-class _NoSolution(Exception):
-    pass
+# -- the deepening search ---------------------------------------------------
 
 
 class _EdgeArrays:
@@ -186,92 +145,203 @@ class _EdgeArrays:
         return visited == n
 
 
-def _min_inner_2ec(g: Graph, free: FrozenSet[int], inner: List[int],
-                   cap: Optional[int], deadline: Optional[float],
-                   accept: Optional[Callable[[List[int]], bool]] = None
-                   ) -> Tuple[int, FrozenSet[int]]:
-    """Core search: keep a subset of `inner` so free ∪ kept is 2EC spanning,
-    minimizing |kept|. Iterative deepening on the kept count, with a
-    keep-first DFS per target so the first hit is the lexicographically
-    smallest witness of the optimum. With `accept`, a leaf counts only if
-    accept(kept edge ids) also holds; a rejected leaf backtracks, so the
-    result is the smallest, then lex-first, accepted set.
+def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
+            deadline: Optional[float],
+            leaf: Callable[[List[int], List[int]], bool],
+            connected: bool) -> Optional[List[int]]:
+    """Smallest, then lex-first, kept set K ⊇ forced with |K| <= hi whose
+    every vertex has degree >= 2 in K and that `leaf` accepts; the array
+    positions of K, or None. Raises OracleTimeout past `deadline`.
+
+    `forced` holds distinct edge ids. `leaf(st, kd)` sees the edge states
+    (1 kept, 0 undecided, -1 removed; undecided edges count as removed)
+    and the kept degrees. With `connected`, every removal must leave the
+    present edges (kept and undecided) 2EC, the search fails at once when
+    all of them are not, and a lone vertex needs no degree.
+
+    Iterative deepening on k = |K|, from the kept edges plus half the
+    summed degree deficiency (an edge lowers it by at most two), with a
+    keep-first DFS over ascending positions per k and an explicit frame
+    stack with an undo trail: the DFS meets k-sets in lex order, so its
+    first leaf is the answer. Unit propagation keeps the undecided edges
+    of a vertex whose deficiency equals its undecided degree; they lie in
+    every leaf below the node, so the order is unchanged.
+    """
+    _check_deadline(deadline)
+    eu, ev, adj, deg = arr.eu, arr.ev, arr.adj, arr.deg
+    m = len(eu)
+    dmin = 0 if connected and arr.n < 2 else 2  # the degree each vertex needs
+    st = [0] * m            # edge state: 0 undecided, 1 kept, -1 removed
+    kd = [0] * arr.n        # kept degree; deg - kd is the undecided degree
+    trail: List[int] = []   # edges in the order they were decided
+    frames: List[Tuple[int, int, int]] = []  # (branch edge, trail mark, state)
+    nk, dsum, nodes = 0, dmin * arr.n, 0     # kept edges, summed deficiency
+
+    def fix(i: int, s: int) -> None:
+        nonlocal nk, dsum
+        st[i] = s
+        trail.append(i)
+        if s == -1:
+            arr.remove(i)
+            return
+        nk += 1
+        for x in (eu[i], ev[i]):
+            if kd[x] < dmin:
+                dsum -= 1
+            kd[x] += 1
+
+    def undo(mark: int) -> None:
+        nonlocal nk, dsum
+        while len(trail) > mark:
+            i = trail.pop()
+            if st[i] == -1:
+                arr.restore(i)
+            else:
+                nk -= 1
+                for x in (eu[i], ev[i]):
+                    kd[x] -= 1
+                    if kd[x] < dmin:
+                        dsum += 1
+            st[i] = 0
+
+    def settle(work: List[int]) -> bool:
+        """Propagate from the vertices in `work`; False on a contradiction."""
+        while work:
+            x = work.pop()
+            need = dmin - kd[x]
+            if need > 0 and deg[x] - kd[x] <= need:
+                if deg[x] - kd[x] < need:
+                    return False
+                for i in adj[x]:
+                    if st[i] == 0:
+                        fix(i, 1)
+                        work.append(eu[i] ^ ev[i] ^ x)
+        return True
+
+    def branch(i: int, s: int) -> bool:
+        frames.append((i, len(trail), s))
+        fix(i, s)
+        return settle([eu[i], ev[i]]) and (
+            s == 1 or not connected or arr.is_2ec_now())
+
+    def search(k: int) -> bool:
+        nonlocal nodes
+        pos, ok = 0, True
+        while True:
+            nodes += 1
+            if nodes % 256 == 0:
+                _check_deadline(deadline)
+            # k is reachable: the bound allows it and enough edges are left
+            if ok and nk + (dsum + 1) // 2 <= k <= nk + m - len(trail):
+                if nk == k:
+                    if leaf(st, kd):
+                        return True
+                else:
+                    while st[pos]:  # edges below pos are all decided
+                        pos += 1
+                    ok = branch(pos, 1)
+                    pos += 1
+                    continue
+            # dead end: take the remove branch of the deepest keep branch
+            while frames and frames[-1][2] == -1:
+                undo(frames.pop()[1])
+            if not frames:
+                return False
+            i, mark, _ = frames.pop()
+            undo(mark)
+            ok = branch(i, -1)
+            pos = i + 1
+
+    for eid in forced:
+        fix(arr.pos[eid], 1)
+    if settle(list(range(arr.n))) and (not connected or arr.is_2ec_now()):
+        for k in range(nk + (dsum + 1) // 2, hi + 1):
+            if search(k):
+                return [i for i in range(m) if st[i] == 1]
+    return None
+
+
+# -- minimum 2EC spanning subgraph ----------------------------------------
+
+
+def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None,
+              deadline: Optional[float] = None) -> FrozenSet[int]:
+    """Minimum-cardinality 2EC spanning subgraph of g, exact.
+
+    Raises OracleBudgetError above the vertex cap, OracleTimeout past the
+    time cap, or past `deadline` (a `time.monotonic` instant) when one is
+    given in its place, checked on entry too. g must be 2EC; ValueError
+    otherwise.
+    """
+    budget = budget or DEFAULT_BUDGET
+    if deadline is None:
+        deadline = budget.deadline()
+    if g.n > budget.vertex_cap:
+        raise OracleBudgetError(
+            f"min_2ecss called with n={g.n} > cap {budget.vertex_cap}")
+    found = _min_2ec(g, frozenset(), None, deadline)
+    if found is None:
+        raise ValueError("min_2ecss input must be 2EC")
+    return found[1]
+
+
+def min_inner_edges(g: Graph, inner: Sequence[int], cap: Optional[int],
+                    deadline: Optional[float] = None
+                    ) -> Optional[Tuple[int, FrozenSet[int]]]:
+    """Minimize |H' ∩ inner| such that (g − inner) ∪ H' is 2EC spanning.
+
+    Edges outside `inner` are free (always present, not counted). Returns
+    (count, chosen inner edges) or None if no solution with count <= cap.
+    """
+    return _min_2ec(g, g.edge_set() - set(inner), cap, deadline)
+
+
+def _min_2ec(g: Graph, free: FrozenSet[int], cap: Optional[int],
+             deadline: Optional[float],
+             accept: Optional[Callable[[List[int]], bool]] = None
+             ) -> Optional[Tuple[int, FrozenSet[int]]]:
+    """Keep the fewest, then lex-first, edges outside `free` so that free ∪
+    kept is 2EC spanning, at most cap of them when cap is given; with
+    `accept`, only a kept set (edge ids, ascending) it accepts counts.
+    Returns (count, kept) or None.
+
+    The free edges are forced and not counted: count = kept − |free|, and
+    the deepening stops at |free| + cap. `_deepen` runs with `connected`,
+    so every leaf below a node keeps a subset of the present edges, which
+    are 2EC. This returns what `reference.min_inner_2ec` in the tests, the
+    recursive search it replaced, returns:
+    - The bounds agree. With cd the free and kept degrees and nk the kept
+      count, sum_v max(2, cd[v]) = 2(|free| + nk) + dsum, so
+      ceil(sum/2) − |free| = nk + ceil(dsum/2).
+    - A 2EC spanning graph on two or more vertices gives every vertex
+      degree >= 2, so unit propagation keeps only edges that every
+      accepted leaf below the node contains. The keep-first order is
+      unchanged, and with it the first hit, the (size, lex) minimum.
+    - At a leaf the undecided edges are dropped and free ∪ kept is tested;
+      the recursive search reached the same leaf by dropping them one at
+      a time, each drop keeping the rest 2EC, which holds exactly when
+      free ∪ kept is 2EC.
     """
     arr = _EdgeArrays(g)
-    if not arr.is_2ec_now():
-        raise _NoSolution
-    asc = [arr.pos[eid] for eid in sorted(inner)]
-    n_free = g.m - len(inner)
-    n_steps = [0]
 
-    # Committed degrees: free edges plus kept edges. The bound sum tracks
-    # sum_v max(2, cd[v]), a floor on twice the final committed edge count
-    # (every vertex ends with degree >= 2 when the graph is spanning).
-    cd = [0] * arr.n
-    inner_pos = set(asc)
-    for i in range(len(arr.eids)):
-        if i not in inner_pos:
-            cd[arr.eu[i]] += 1
-            cd[arr.ev[i]] += 1
-    floor2 = 2 if arr.n >= 2 else 0
-    bsum = sum(max(floor2, d) for d in cd)
-
-    # Lower bound on the optimum kept count. With no free edge every cd[v]
-    # is 0, so this is n: a 2EC spanning subgraph has at least n edges.
-    lb = max(0, (bsum + 1) // 2 - n_free)
-
-    kept: List[int] = []
-    nverts = arr.n
-
-    def dfs(idx: int, k: int) -> bool:
-        nonlocal bsum
-        n_steps[0] += 1
-        if n_steps[0] % 256 == 0:
-            _check_deadline(deadline)
-        if len(kept) > k or (bsum + 1) // 2 > n_free + k:
-            return False
-        if idx == len(asc):
-            # free ∪ kept is 2EC: it is the availability graph, checked on
-            # entry and after every remove
-            return len(kept) == k and (
-                accept is None or accept([arr.eids[i] for i in kept]))
-        if len(kept) + (len(asc) - idx) < k:
-            return False
-        i = asc[idx]
-        # keep branch first: first complete solution is lex-min
-        kept.append(i)
-        delta = 0
-        for v in (arr.eu[i], arr.ev[i]):
-            if cd[v] >= floor2:
-                delta += 1
-            cd[v] += 1
-        bsum += delta
-        if dfs(idx + 1, k):
-            return True
-        bsum -= delta
-        cd[arr.eu[i]] -= 1
-        cd[arr.ev[i]] -= 1
-        kept.pop()
-        # remove branch: the availability graph must stay 2EC
-        arr.remove(i)
-        ok = (nverts < 2 or (arr.deg[arr.eu[i]] >= 2 and arr.deg[arr.ev[i]] >= 2)) \
-            and arr.is_2ec_now() and dfs(idx + 1, k)
-        if not ok:
+    def leaf(st: List[int], kd: List[int]) -> bool:
+        drop = [i for i, s in enumerate(st) if s == 0]
+        for i in drop:
+            arr.remove(i)
+        # the present edges are 2EC on entry and after every removal
+        ok = (not drop or arr.is_2ec_now()) and (accept is None or accept(
+            [arr.eids[i] for i, s in enumerate(st) if s == 1
+             and arr.eids[i] not in free]))
+        for i in drop:
             arr.restore(i)
         return ok
 
-    # Keeping every inner edge is 2EC (checked on entry), so without
-    # `accept` the deepening stops by len(inner) at the latest; a cap only
-    # cuts it short.
-    hi = len(inner) if cap is None else cap
-    for k in range(lb, hi + 1):
-        if dfs(0, k):
-            chosen = frozenset(arr.eids[i] for i in kept)
-            for i in asc:
-                if i not in kept:
-                    arr.restore(i)
-            return k, chosen
-    raise _NoSolution
+    hi = g.m if cap is None else len(free) + cap
+    kept = _deepen(arr, free, hi, deadline, leaf, connected=True)
+    if kept is None:
+        return None
+    chosen = frozenset(arr.eids[i] for i in kept) - free
+    return len(chosen), chosen
 
 
 # -- minimum triangle-free 2-edge cover -----------------------------------
@@ -287,72 +357,12 @@ def min_tf2ec(g: Graph, forced: Iterable[int] = (),
     smallest sorted edge-id list. Raises ValueError when no such cover
     exists, OracleTimeout past `deadline`.
 
-    Iterative deepening on the cover size k, from kept edges plus half the
-    summed degree deficiency (an edge lowers it by at most two), with a
-    keep-first DFS over edges in ascending id order per k: it meets sets of
-    equal size in lex order, so its first cover is the answer. Unit
-    propagation keeps the undecided edges of a vertex whose deficiency
-    equals its undecided degree; they lie in every cover below the node,
-    so the order is unchanged. Triangles are tested at the leaves.
+    `_deepen` without `connected`, with a triangle test at the leaves.
     """
-    _check_deadline(deadline)
     arr = _EdgeArrays(g)
     eu, ev, adj = arr.eu, arr.ev, arr.adj
-    m = len(eu)
-    st = [0] * m            # edge state: 0 undecided, 1 kept, -1 removed
-    kd = [0] * arr.n        # kept degree
-    av = list(arr.deg)      # undecided degree
-    trail: List[int] = []   # edges in the order they were decided
-    frames: List[Tuple[int, int, int]] = []  # (branch edge, trail mark, state)
-    nk, dsum, nodes = 0, 2 * arr.n, 0        # kept edges, summed deficiency
 
-    def fix(i: int, s: int) -> None:
-        nonlocal nk, dsum
-        st[i] = s
-        trail.append(i)
-        if s == 1:
-            nk += 1
-        for x in (eu[i], ev[i]):
-            av[x] -= 1
-            if s == 1:
-                if kd[x] < 2:
-                    dsum -= 1
-                kd[x] += 1
-
-    def undo(mark: int) -> None:
-        nonlocal nk, dsum
-        while len(trail) > mark:
-            i = trail.pop()
-            if st[i] == 1:
-                nk -= 1
-            for x in (eu[i], ev[i]):
-                av[x] += 1
-                if st[i] == 1:
-                    kd[x] -= 1
-                    if kd[x] < 2:
-                        dsum += 1
-            st[i] = 0
-
-    def settle(work: List[int]) -> bool:
-        """Propagate from the vertices in `work`; False on a contradiction."""
-        while work:
-            x = work.pop()
-            need = 2 - kd[x]
-            if need > 0 and av[x] <= need:
-                if av[x] < need:
-                    return False
-                for i in adj[x]:
-                    if st[i] == 0:
-                        fix(i, 1)
-                        work.append(eu[i] ^ ev[i] ^ x)
-        return True
-
-    def branch(i: int, s: int) -> bool:
-        frames.append((i, len(trail), s))
-        fix(i, s)
-        return settle([eu[i], ev[i]])
-
-    def triangle_free() -> bool:
+    def triangle_free(st: List[int], kd: List[int]) -> bool:
         for x in range(arr.n):
             if kd[x] != 2:
                 continue
@@ -365,42 +375,11 @@ def min_tf2ec(g: Graph, forced: Iterable[int] = (),
                 return False
         return True
 
-    def search(k: int) -> bool:
-        nonlocal nodes
-        pos, ok = 0, True
-        while True:
-            nodes += 1
-            if nodes % 256 == 0:
-                _check_deadline(deadline)
-            if ok and nk + (dsum + 1) // 2 <= k:
-                if nk == k:
-                    # the undecided edges are removed; degrees are met
-                    if triangle_free():
-                        return True
-                else:
-                    while pos < m and st[pos]:
-                        pos += 1
-                    if pos < m:
-                        ok = branch(pos, 1)
-                        pos += 1
-                        continue
-            # dead end: take the remove branch of the deepest keep branch
-            while frames and frames[-1][2] == -1:
-                undo(frames.pop()[1])
-            if not frames:
-                return False
-            i, mark, _ = frames.pop()
-            undo(mark)
-            ok = branch(i, -1)
-            pos = i + 1
-
-    for eid in set(forced):
-        fix(arr.pos[eid], 1)
-    if settle(list(range(arr.n))):
-        for k in range(nk + (dsum + 1) // 2, m + 1):
-            if search(k):
-                return frozenset(arr.eids[i] for i in range(m) if st[i] == 1)
-    raise ValueError("no triangle-free 2-edge cover containing forced set")
+    kept = _deepen(arr, set(forced), g.m, deadline, triangle_free,
+                   connected=False)
+    if kept is None:
+        raise ValueError("no triangle-free 2-edge cover containing forced set")
+    return frozenset(arr.eids[i] for i in kept)
 
 
 # -- contractibility ------------------------------------------------------
@@ -597,9 +576,7 @@ def _opt_typed(g1: Graph, u: int, v: int, t: str,
     # ones free never prunes one; `accept` drops the 2EC leaves of another
     # type, and the first accepted leaf is the (size, lex) minimum.
     g = _with_uv(g1, u, v, "ABC".index(t))
-    try:
-        return _min_inner_2ec(
-            g, g.edge_set() - g1.edge_set(), g1.edge_ids(), None, deadline,
-            accept=lambda kept: classify_type(g1.spanning(kept), u, v) == t)[1]
-    except _NoSolution:
-        return None
+    found = _min_2ec(
+        g, g.edge_set() - g1.edge_set(), None, deadline,
+        accept=lambda kept: classify_type(g1.spanning(kept), u, v) == t)
+    return None if found is None else found[1]

@@ -11,17 +11,20 @@ outputs directly, so the tests can check the solver against them:
   subgraph, tested on one given subgraph.
 - `irrelevant_one_at_a_time`: the irrelevant-edge rule as one component
   scan per edge, dropping the smallest-id irrelevant edge per round.
+- `min_inner_2ec`: the exact 2EC search as a recursion with one level per
+  edge, against which the solver's deepening search is compared.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from twoec.graph import (Edge, Graph, components, cut_vertices,
                          find_irrelevant_edge, is_2ec, is_2vc,
                          two_vertex_cuts)
-from twoec.oracle import (OracleBudget, _below, find_contractible_subgraph,
-                          min_inner_edges, min_tf2ec)
+from twoec.oracle import (OracleBudget, _below, _EdgeArrays,
+                          find_contractible_subgraph, min_inner_edges,
+                          min_tf2ec)
 from twoec.reduction import ALPHA_DEFAULT, _parallel_or_loop
 
 
@@ -173,3 +176,79 @@ def irrelevant_one_at_a_time(g: Graph) -> List[Graph]:
         out.append(out[-1].without_edges([e.id]))
         e = smallest_irrelevant_edge(out[-1])
     return out
+
+
+# -- the exact 2EC search, one recursion level per edge ----------------------
+
+
+def min_inner_2ec(g: Graph, free: FrozenSet[int], inner: Sequence[int],
+                  cap: Optional[int],
+                  accept: Optional[Callable[[List[int]], bool]] = None
+                  ) -> Optional[Tuple[int, FrozenSet[int]]]:
+    """Keep a subset of `inner` so free ∪ kept is 2EC spanning, minimizing
+    |kept|, at most cap of them when cap is given; (count, kept) or None.
+    Iterative deepening on the kept count, with a keep-first DFS per
+    target that decides the inner edges in ascending id order, one
+    recursion level each, so the first hit is the lexicographically
+    smallest witness of the optimum. With `accept`, a leaf counts only if
+    accept(kept edge ids) also holds.
+    """
+    arr = _EdgeArrays(g)
+    if not arr.is_2ec_now():
+        return None
+    asc = [arr.pos[eid] for eid in sorted(inner)]
+    n_free = g.m - len(inner)
+
+    # Committed degrees: free edges plus kept edges. The bound sum tracks
+    # sum_v max(2, cd[v]), a floor on twice the final committed edge count
+    # (every vertex ends with degree >= 2 when the graph is spanning).
+    cd = [0] * arr.n
+    inner_pos = set(asc)
+    for i in range(len(arr.eids)):
+        if i not in inner_pos:
+            cd[arr.eu[i]] += 1
+            cd[arr.ev[i]] += 1
+    floor2 = 2 if arr.n >= 2 else 0
+    bsum = sum(max(floor2, d) for d in cd)
+    lb = max(0, (bsum + 1) // 2 - n_free)
+    kept: List[int] = []
+
+    def dfs(idx: int, k: int) -> bool:
+        nonlocal bsum
+        if len(kept) > k or (bsum + 1) // 2 > n_free + k:
+            return False
+        if idx == len(asc):
+            # free ∪ kept is the availability graph, 2EC on entry and
+            # after every remove
+            return len(kept) == k and (
+                accept is None or accept([arr.eids[i] for i in kept]))
+        if len(kept) + (len(asc) - idx) < k:
+            return False
+        i = asc[idx]
+        kept.append(i)
+        delta = 0
+        for v in (arr.eu[i], arr.ev[i]):
+            if cd[v] >= floor2:
+                delta += 1
+            cd[v] += 1
+        bsum += delta
+        if dfs(idx + 1, k):
+            return True
+        bsum -= delta
+        cd[arr.eu[i]] -= 1
+        cd[arr.ev[i]] -= 1
+        kept.pop()
+        # remove branch: the availability graph must stay 2EC
+        arr.remove(i)
+        ok = (arr.n < 2 or (arr.deg[arr.eu[i]] >= 2
+                            and arr.deg[arr.ev[i]] >= 2)) \
+            and arr.is_2ec_now() and dfs(idx + 1, k)
+        if not ok:
+            arr.restore(i)
+        return ok
+
+    hi = len(inner) if cap is None else cap
+    for k in range(lb, hi + 1):
+        if dfs(0, k):
+            return k, frozenset(arr.eids[i] for i in kept)
+    return None

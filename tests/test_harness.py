@@ -217,6 +217,14 @@ class TestCli:
         assert code == 2
         assert "infeasible" in err
 
+    def test_oracle_infeasible_exit_code(self, tmp_path, capsys):
+        # a path: one line on stderr and exit 2, as for solve
+        inst = tmp_path / "path.txt"
+        inst.write_text("p 4 3\ne 0 1\ne 1 2\ne 2 3\n")
+        code, out, err = self.run(["oracle", str(inst)], capsys)
+        assert code == 2 and out == ""
+        assert err == "infeasible: input graph is not 2-edge-connected\n"
+
     def test_oracle_timeout_exit_code(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
         self.run(["gen", "gnp_2ec", "--n", "17", "--seed", "3",

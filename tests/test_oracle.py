@@ -24,7 +24,7 @@ from twoec.errors import OracleBudgetError, OracleTimeout
 
 from conftest import random_2ec_graph, random_multigraph, small_graphs
 from reference import (check_cover_matching_identity, is_alpha_contractible,
-                       max_tf2matching)
+                       max_tf2matching, min_inner_2ec)
 
 
 def c_n(n):
@@ -175,6 +175,46 @@ class TestMinInnerEdges:
             assert min_inner_edges(g, inner, None) == (opt, witness)
             assert min_inner_edges(g, inner, opt) == (opt, witness)
             assert min_inner_edges(g, inner, opt - 1) is None
+
+
+class TestRecursiveReference:
+    """The deepening search against the one-level-per-edge recursion, on
+    multigraphs above the reach of the brute-force tests."""
+
+    @staticmethod
+    def multigraph(rng, n):
+        """A Hamiltonian cycle plus chords, parallel copies and loops, with
+        edge ids in random order."""
+        g = random_2ec_graph(rng, n, extra=rng.randint(0, 4))
+        pairs = [(e.u, e.v) for e in g.edges()]
+        pairs += rng.sample(pairs, rng.randint(0, 3))
+        pairs += [(x, x) for x in rng.sample(range(n), rng.randint(0, 2))]
+        rng.shuffle(pairs)
+        return Graph.from_edge_list(n, pairs)
+
+    @staticmethod
+    def typed(g1, u, v, t):
+        g = oracle._with_uv(g1, u, v, "ABC".index(t))
+        found = min_inner_2ec(
+            g, g.edge_set() - g1.edge_set(), g1.edge_ids(), None,
+            accept=lambda kept: classify_type(g1.spanning(kept), u, v) == t)
+        return None if found is None else found[1]
+
+    def test_same_answers(self, rng):
+        for _ in range(60):
+            g = self.multigraph(rng, rng.randint(8, 13))
+            opt, sol = min_inner_2ec(g, frozenset(), g.edge_ids(), None)
+            assert min_2ecss(g) == sol and len(sol) == opt
+            eids = g.edge_ids()
+            inner = rng.sample(eids, rng.randint(1, len(eids)))
+            free = frozenset(eids) - set(inner)
+            opt, sol = min_inner_2ec(g, free, inner, None)
+            for cap in (opt, opt - 1):
+                assert min_inner_edges(g, inner, cap) == \
+                    min_inner_2ec(g, free, inner, cap)
+            u, v = rng.sample(g.vertices, 2)
+            for t in "ABC":
+                assert opt_type(g, u, v, t) == self.typed(g, u, v, t)
 
 
 class TestMinTf2ec:

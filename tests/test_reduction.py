@@ -95,6 +95,12 @@ class TestReduceSmall:
         sol, trace = reduce(g)
         assert sol == frozenset(range(17))
         assert trace.steps.count("parallel_loop") == 1100
+        # small graphs go to the exact search first, which must not
+        # recurse per edge either
+        for extra in ([(0, 0)] * 1200, [(0, 1)] * 1200):
+            g = Graph.from_edge_list(5, cycle(5) + extra)
+            assert reduce(g)[0] == frozenset(range(5))
+            assert min_2ecss(g) == frozenset(range(5))
 
 
 class TestReduceRules:

@@ -5,10 +5,11 @@ so edge sets produced on derived graphs are directly valid on the original.
 Vertices and edges are always iterated in ascending id order; "pick any"
 choices elsewhere in the package resolve to the smallest id.
 
-`biconnected_blocks` is the one connectivity core: a single lowpoint DFS
-whose blocks give the bridges (one-edge blocks), the cut vertices (vertices
-in two or more blocks) and, from the blocks of g - u, whether each {u, v}
-is a 2-vertex cut and of which class. `connected_subsets` is the one
+`_blocks` is the one connectivity core: a lowpoint DFS over integer
+positions that builds no `Edge` or set. Its blocks give the bridges
+(one-edge blocks), the cut vertices (vertices in two or more blocks), and,
+with a vertex u skipped in place of a built g - u, whether each {u, v} is a
+2-vertex cut and of which class. `connected_subsets` is the one
 enumerator of small connected vertex sets, shared by the guess enumeration
 and the contractibility search. The exact oracle keeps its own bridge test,
 `oracle._EdgeArrays.is_2ec_now`: it runs on mutable edge arrays inside the
@@ -221,62 +222,78 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
+def _index(g: Graph) -> List[List[Tuple[int, int]]]:
+    """(neighbour position, edge id) pairs per vertex position; no loops."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    nb: List[List[Tuple[int, int]]] = [[] for _ in pos]
+    for e in g.edges():
+        a, b = pos[e.u], pos[e.v]
+        if a != b:
+            nb[a].append((b, e.id))
+            nb[b].append((a, e.id))
+    return nb
+
+
+def _blocks(nb: List[List[Tuple[int, int]]], skip: int = -1
+            ) -> Tuple[List[List[int]], List[int]]:
+    """Lowpoint DFS (Tarjan 1972) on `_index` lists, with a vertex stack: a
+    tree edge p-v closes the block of p and the vertices stacked since v
+    when no edge below v reaches above p. Returns the blocks in closing
+    order, each led by its top vertex p, and the discovery times. `skip` is
+    marked visited with a time above all others: the DFS runs on g - skip."""
+    n = len(nb)
+    disc, low = [-1] * n, [0] * n
+    if skip >= 0:
+        disc[skip] = n
+    blocks: List[List[int]] = []
+    t = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = t
+        t += 1
+        vstack = [root]
+        # frames: (vertex, tree edge id in or -1, edges left, vstack height)
+        stack = [(root, -1, iter(nb[root]), 0)]
+        while stack:
+            v, in_e, it, at = stack[-1]
+            for w, j in it:
+                if disc[w] < 0:
+                    disc[w] = low[w] = t
+                    t += 1
+                    stack.append((w, j, iter(nb[w]), len(vstack)))
+                    vstack.append(w)
+                    break
+                if j != in_e and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                # v is finished; propagate its lowpoint to the parent
+                stack.pop()
+                if in_e < 0:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    blocks.append([p] + vstack[at:])
+                    del vstack[at:]
+    return blocks, disc
+
+
 def biconnected_blocks(g: Graph) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
     """Blocks of g as (vertex set, edge ids), in the order the DFS closes them.
 
     A block is a maximal 2-vertex-connected piece or a single bridge. Loops
-    lie in no block; parallel edges land in one block. Iterative lowpoint DFS
-    with an edge stack (Tarjan 1972): a tree edge p-v closes a block when no
-    edge below v reaches above p.
+    lie in no block; parallel edges land in one block. One `_blocks` run:
+    an edge joins a vertex to an ancestor, so it lies in the block of the
+    deeper end's tree edge, the one block that holds that end not as top.
     """
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    out: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
-    for root in g.vertices:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        estack: List[Edge] = []
-        # stack entries: (vertex, incoming tree edge or None, iterator index)
-        stack: List[Tuple[int, Optional[Edge], int]] = [(root, None, 0)]
-        while stack:
-            v, in_e, i = stack.pop()
-            inc = g.incident(v)
-            while i < len(inc):
-                e = inc[i]
-                i += 1
-                w = e.other(v)
-                if w == v:
-                    continue
-                if w not in disc:
-                    stack.append((v, in_e, i))
-                    disc[w] = low[w] = len(disc)
-                    estack.append(e)
-                    stack.append((w, e, 0))
-                    break
-                if e is not in_e and disc[w] < disc[v]:
-                    estack.append(e)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                # v is finished; propagate its lowpoint to the parent
-                if in_e is None:
-                    continue
-                p = in_e.other(v)
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    vs: Set[int] = set()
-                    es: List[int] = []
-                    while True:
-                        f = estack.pop()
-                        vs.add(f.u)
-                        vs.add(f.v)
-                        es.append(f.id)
-                        if f is in_e:
-                            break
-                    out.append((frozenset(vs), frozenset(es)))
-    return out
+    nb = _index(g)
+    blocks, disc = _blocks(nb)
+    vs = g.vertices
+    return [(frozenset(vs[x] for x in b), frozenset(
+        e for x in b[1:] for w, e in nb[x] if disc[w] < disc[x]))
+        for b in blocks]
 
 
 def bridges(g: Graph) -> Set[int]:
@@ -287,10 +304,13 @@ def bridges(g: Graph) -> Set[int]:
 
 
 def is_2ec(g: Graph) -> bool:
-    """Connected and bridgeless. A single vertex counts as 2EC."""
-    if g.n <= 1:
-        return True
-    return is_connected(g) and not bridges(g)
+    """Connected and bridgeless; a single vertex counts as 2EC. One block
+    DFS: n - 1 vertices in a block but not its top (all but the root), and
+    parallel edges in every two-vertex block."""
+    nb = _index(g)
+    blocks, _disc = _blocks(nb)
+    return sum(len(b) - 1 for b in blocks) >= g.n - 1 and all(
+        len(b) > 2 or [w for w, _ in nb[b[1]]].count(b[0]) > 1 for b in blocks)
 
 
 def cut_vertices(g: Graph) -> Set[int]:
@@ -317,19 +337,15 @@ class BlockDecomposition:
 
 
 def two_ec_blocks(g: Graph) -> BlockDecomposition:
+    """The components of g less its bridges, by smallest vertex; one with no
+    edge is a lonely vertex, and a looped vertex alone a block of its own."""
     br = bridges(g)
     residue = g.without_edges(br)
-    blocks = []
-    lonely = []
-    for comp in components(residue):
-        sub = residue.induced(comp)
-        if sub.m == 0:
-            if len(comp) == 1:
-                lonely.append(comp[0])
-            continue
-        blocks.append((frozenset(comp), sub.edge_set()))
-    blocks.sort(key=lambda b: min(b[0]))
-    return BlockDecomposition(blocks, frozenset(br), frozenset(lonely))
+    parts = [(frozenset(c), frozenset(e.id for v in c
+                                      for e in residue.incident(v)))
+             for c in components(residue)]
+    return BlockDecomposition([p for p in parts if p[1]], frozenset(br),
+                              frozenset(min(vs) for vs, es in parts if not es))
 
 
 def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
@@ -337,25 +353,27 @@ def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
 
     {u,v} is a cut if g - {u,v} is disconnected; isolating means exactly two
     components, one of them a single vertex. Pairs come in lexicographic
-    order. One block DFS of g - u classifies every v: g - {u,v} has spare +
-    count[v] components, where count[v] is the number of blocks holding v
-    and spare, the components of g - u less one, is n - 2 - sum(|B| - 1);
-    x != v is alone there when x lies in no block, or only in {v, x}.
+    order. g is indexed once; one block DFS with u skipped (no g - u is
+    built) classifies every v: g - {u,v} has spare + count[v] components,
+    where count[v] is the number of blocks holding v and spare, the
+    components of g - u less one, is n - 2 - sum(|B| - 1); x != v is alone
+    there when x lies in no block, or only in {v, x}.
     """
     out = []
-    vs = g.vertices
-    for i, u in enumerate(vs):
-        blocks = biconnected_blocks(g.without_vertices((u,)))
-        count = Counter(x for bvs, _es in blocks for x in bvs)
-        leaf_of = {y for bvs, _es in blocks if len(bvs) == 2
-                   for x in bvs if count[x] == 1 for y in bvs - {x}}
-        spare = len(vs) - 2 - sum(len(bvs) - 1 for bvs, _es in blocks)
-        lonely = len(vs) - 1 - len(count)   # vertices of g - u in no block
-        for v in vs[i + 1:]:
+    vs, n = g.vertices, g.n
+    nb = _index(g)
+    for u in range(n):
+        blocks, _disc = _blocks(nb, u)
+        count = Counter(x for b in blocks for x in b)
+        leaf_of = {y for b in blocks if len(b) == 2
+                   for x in b if count[x] == 1 for y in b if y != x}
+        spare = n - 2 - sum(len(b) - 1 for b in blocks)
+        lonely = n - 1 - len(count)   # vertices of g - u in no block
+        for v in range(u + 1, n):
             k = spare + count[v]
             if k >= 2:
                 alone = v in leaf_of or lonely > (count[v] == 0)
-                out.append(((u, v), "isolating" if k == 2 and alone
+                out.append(((vs[u], vs[v]), "isolating" if k == 2 and alone
                             else "non_isolating"))
     return out
 

@@ -563,20 +563,22 @@ def opt_type(g1: Graph, u: int, v: int, t: str,
     """
     if g_full is not None:
         g2 = g_full.without_vertices(set(g1.vertices) - {u, v})
-        if not (is_2ec(g2) if t == "C"
-                else classify_type(g2, u, v) in ("A", "B")):
+        if not is_2ec(_with_uv(g2, u, v, int(t != "C"))):
             return None
     return _opt_typed(g1, u, v, t, deadline)
 
 
 def _opt_typed(g1: Graph, u: int, v: int, t: str,
                deadline: Optional[float]) -> Optional[FrozenSet[int]]:
-    # Every type-t h is 2EC spanning once 0 (A), 1 (B) or 2 (C) virtual u–v
-    # edges are added, so the 2EC search over g1's edges with the virtual
-    # ones free never prunes one; `accept` drops the 2EC leaves of another
-    # type, and the first accepted leaf is the (size, lex) minimum.
+    # Every type-t h is 2EC spanning once k = 0 (A), 1 (B) or 2 (C) virtual
+    # u–v edges are added, so the 2EC search over g1's edges with the
+    # virtual ones free never prunes one, and the first accepted leaf is the
+    # (size, lex) minimum. An h with h + uv 2EC is connected (an edge joining
+    # two components is a bridge), so of type A when 2EC and B when not. A C
+    # leaf has one or two components, and is of type C when it has two.
     g = _with_uv(g1, u, v, "ABC".index(t))
-    found = _min_2ec(
-        g, g.edge_set() - g1.edge_set(), None, deadline,
-        accept=lambda kept: classify_type(g1.spanning(kept), u, v) == t)
+    accept = {"A": None,
+              "B": lambda kept: not is_2ec(g1.spanning(kept)),
+              "C": lambda kept: len(components(g1.spanning(kept))) > 1}[t]
+    found = _min_2ec(g, g.edge_set() - g1.edge_set(), None, deadline, accept)
     return None if found is None else found[1]

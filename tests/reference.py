@@ -13,15 +13,22 @@ outputs directly, so the tests can check the solver against them:
   scan per edge, dropping the smallest-id irrelevant edge per round.
 - `min_inner_2ec`: the exact 2EC search as a recursion with one level per
   edge, against which the solver's deepening search is compared.
+- `biconnected_blocks`, `two_vertex_cuts` and `two_ec_blocks`: the block
+  DFS on vertex ids and `Edge` objects, with an edge stack, the cut scan
+  that runs it on a built g - u for every u, and the 2EC blocks as one
+  induced subgraph per component of g less its bridges; the solver's
+  versions run one DFS on integer positions and must give equal lists.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
-from twoec.graph import (Edge, Graph, components, cut_vertices,
-                         find_irrelevant_edge, is_2ec, is_2vc,
-                         two_vertex_cuts)
+from twoec.graph import (BlockDecomposition, Edge, Graph, components,
+                         cut_vertices, find_irrelevant_edge, is_2ec, is_2vc)
+from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
 from twoec.oracle import (OracleBudget, _below, _EdgeArrays,
                           find_contractible_subgraph, min_inner_edges,
                           min_tf2ec)
@@ -55,7 +62,7 @@ def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT,
     if not is_2vc(g):
         cuts = cut_vertices(g)
         return StructureReport(False, "not_2vc", min(cuts) if cuts else None)
-    cuts = two_vertex_cuts(g)
+    cuts = solver_two_vertex_cuts(g)
     ir = find_irrelevant_edge(g, cuts)
     if ir is not None:
         return StructureReport(False, "irrelevant_edge", ir)
@@ -252,3 +259,102 @@ def min_inner_2ec(g: Graph, free: FrozenSet[int], inner: Sequence[int],
         if dfs(0, k):
             return k, frozenset(arr.eids[i] for i in kept)
     return None
+
+
+# -- the block DFS on ids, and what was read off it -------------------------
+
+
+def biconnected_blocks(g: Graph) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
+    """Blocks of g as (vertex set, edge ids), in the order the DFS closes them.
+
+    Iterative lowpoint DFS with an edge stack (Tarjan 1972): a tree edge p-v
+    closes a block when no edge below v reaches above p.
+    """
+    disc: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    out: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
+    for root in g.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        estack: List[Edge] = []
+        # stack entries: (vertex, incoming tree edge or None, iterator index)
+        stack: List[Tuple[int, Optional[Edge], int]] = [(root, None, 0)]
+        while stack:
+            v, in_e, i = stack.pop()
+            inc = g.incident(v)
+            while i < len(inc):
+                e = inc[i]
+                i += 1
+                w = e.other(v)
+                if w == v:
+                    continue
+                if w not in disc:
+                    stack.append((v, in_e, i))
+                    disc[w] = low[w] = len(disc)
+                    estack.append(e)
+                    stack.append((w, e, 0))
+                    break
+                if e is not in_e and disc[w] < disc[v]:
+                    estack.append(e)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                # v is finished; propagate its lowpoint to the parent
+                if in_e is None:
+                    continue
+                p = in_e.other(v)
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    vs: Set[int] = set()
+                    es: List[int] = []
+                    while True:
+                        f = estack.pop()
+                        vs.add(f.u)
+                        vs.add(f.v)
+                        es.append(f.id)
+                        if f is in_e:
+                            break
+                    out.append((frozenset(vs), frozenset(es)))
+    return out
+
+
+def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
+    """All 2-vertex cuts with their classification, from one
+    `biconnected_blocks(g - u)` per u on a built g - u."""
+    out = []
+    vs = g.vertices
+    for i, u in enumerate(vs):
+        blocks = biconnected_blocks(g.without_vertices((u,)))
+        count = Counter(x for bvs, _es in blocks for x in bvs)
+        leaf_of = {y for bvs, _es in blocks if len(bvs) == 2
+                   for x in bvs if count[x] == 1 for y in bvs - {x}}
+        spare = len(vs) - 2 - sum(len(bvs) - 1 for bvs, _es in blocks)
+        lonely = len(vs) - 1 - len(count)   # vertices of g - u in no block
+        for v in vs[i + 1:]:
+            k = spare + count[v]
+            if k >= 2:
+                alone = v in leaf_of or lonely > (count[v] == 0)
+                out.append(((u, v), "isolating" if k == 2 and alone
+                            else "non_isolating"))
+    return out
+
+
+def two_ec_blocks(g: Graph) -> BlockDecomposition:
+    """2EC blocks as the components of g less its bridges, one induced
+    subgraph each, sorted by smallest vertex."""
+    br = {eid for _vs, es in biconnected_blocks(g) if len(es) == 1
+          for eid in es}
+    residue = g.without_edges(br)
+    blocks = []
+    lonely = []
+    for comp in components(residue):
+        sub = residue.induced(comp)
+        if sub.m == 0:
+            if len(comp) == 1:
+                lonely.append(comp[0])
+            continue
+        blocks.append((frozenset(comp), sub.edge_set()))
+    blocks.sort(key=lambda b: min(b[0]))
+    return BlockDecomposition(blocks, frozenset(br), frozenset(lonely))

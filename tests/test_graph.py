@@ -13,6 +13,7 @@ from twoec.graph import (
     path_avoiding, two_ec_blocks, two_vertex_cuts,
 )
 
+import reference
 from conftest import random_2ec_graph, random_multigraph, small_graphs
 
 
@@ -194,6 +195,54 @@ class TestCuts:
         # cycles have 2-cuts but no edge between the cut pair
         for g in (c_n(4), c_n(5)):
             assert find_irrelevant_edge(g, two_vertex_cuts(g)) is None
+
+
+class TestBlockReference:
+    """The block DFS on positions, and what is read off it, against the
+    edge-stack DFS on ids and the cut scan on a built g - u per u
+    (`reference.py`), list-equal with the order included."""
+
+    @staticmethod
+    def graphs():
+        # seeded multigraphs with arbitrary vertex ids and edge ids in random
+        # order, plus the cycles C3-C8
+        rng = random.Random(20261019)
+        out = [c_n(k) for k in range(3, 9)]
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            vs = rng.sample(range(3 * n), n)
+            pairs = [(rng.choice(vs), rng.choice(vs))
+                     for _ in range(rng.randint(0, 2 * n + 2))]
+            ids = rng.sample(range(4 * len(pairs) + 1), len(pairs))
+            out.append(Graph(vs, [Edge(i, a, b)
+                                  for i, (a, b) in zip(ids, pairs)]))
+        kinds = Counter()
+        for g in out:
+            ends = [e.ends for e in g.edges()]
+            kinds["loop"] += any(a == b for a, b in ends)
+            kinds["parallel"] += len(set(ends)) < len(ends)
+            kinds["isolated"] += any(not g.incident(v) for v in g.vertices)
+            kinds["disconnected"] += not is_connected(g)
+            kinds["2ec"] += g.n > 1 and is_2ec(g)
+        assert len(kinds) == 5 and min(kinds.values()) >= 30, kinds
+        return out
+
+    def test_biconnected_blocks(self):
+        for g in self.graphs():
+            assert biconnected_blocks(g) == reference.biconnected_blocks(g)
+
+    def test_two_vertex_cuts(self):
+        for g in self.graphs():
+            assert two_vertex_cuts(g) == reference.two_vertex_cuts(g)
+
+    def test_two_ec_blocks(self):
+        for g in self.graphs():
+            assert two_ec_blocks(g) == reference.two_ec_blocks(g)
+
+    def test_is_2ec(self):
+        for g in self.graphs():
+            assert is_2ec(g) == (g.n <= 1 or (is_connected(g)
+                                              and not bridges(g)))
 
 
 class TestConnectedSubsets:

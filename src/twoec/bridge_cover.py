@@ -137,11 +137,6 @@ def _reach_paths(tc: TcTree, w: Iterable[int],
     return found
 
 
-def reachable(tc: TcTree, w: Iterable[int]) -> FrozenSet[int]:
-    """Tree nodes outside w joined to w by some augmenting path."""
-    return frozenset(_reach_paths(tc, w))
-
-
 def _tree_dists(tree: Graph, src: int
                 ) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
     dist = {src: 0}

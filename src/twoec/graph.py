@@ -5,16 +5,16 @@ so edge sets produced on derived graphs are directly valid on the original.
 Vertices and edges are always iterated in ascending id order; "pick any"
 choices elsewhere in the package resolve to the smallest id.
 
-`_blocks` is the one connectivity core: a lowpoint DFS over integer
-positions that builds no `Edge` or set. Its blocks give the bridges
-(one-edge blocks), the cut vertices (vertices in two or more blocks), and,
-with a vertex u skipped in place of a built g - u, whether each {u, v} is a
-2-vertex cut and of which class. `connected_subsets` is the one
-enumerator of small connected vertex sets, shared by the guess enumeration
-and the contractibility search. The exact oracle keeps its own bridge test,
-`oracle._EdgeArrays.is_2ec_now`: it runs on mutable edge arrays inside the
-branch and bound, stops at the first bridge, and would otherwise need a
-fresh `Graph` at every search node.
+`_blocks` is the one lowpoint DFS in the package: it runs over the integer
+positions of `_index` lists, builds no `Edge` or set, and yields each
+block as it closes. Its blocks give the bridges (one-edge blocks), the
+cut vertices (vertices in two or more blocks), and, with a vertex u
+skipped in place of a built g - u, whether each {u, v} is a 2-vertex cut
+and of which class. Over a mask of present edges, `_is_2ec` is also the
+exact oracle's 2EC test: the branch and bound removes and restores edges
+in the mask and stops the DFS at the first bridge. `connected_subsets`
+is the one enumerator of small connected vertex sets, shared by the
+guess enumeration and the contractibility search.
 """
 
 from __future__ import annotations
@@ -223,29 +223,30 @@ def is_connected(g: Graph) -> bool:
 
 
 def _index(g: Graph) -> List[List[Tuple[int, int]]]:
-    """(neighbour position, edge id) pairs per vertex position; no loops."""
+    """(neighbour position, edge position) pairs per vertex position, in
+    ascending edge order; a loop is listed once, at its vertex."""
     pos = {v: i for i, v in enumerate(g.vertices)}
     nb: List[List[Tuple[int, int]]] = [[] for _ in pos]
-    for e in g.edges():
+    for j, e in enumerate(g.edges()):
         a, b = pos[e.u], pos[e.v]
+        nb[a].append((b, j))
         if a != b:
-            nb[a].append((b, e.id))
-            nb[b].append((a, e.id))
+            nb[b].append((a, j))
     return nb
 
 
-def _blocks(nb: List[List[Tuple[int, int]]], skip: int = -1
-            ) -> Tuple[List[List[int]], List[int]]:
+def _blocks(nb: List[List[Tuple[int, int]]], skip: int = -1,
+            present: Optional[List[bool]] = None) -> Iterator[List[int]]:
     """Lowpoint DFS (Tarjan 1972) on `_index` lists, with a vertex stack: a
     tree edge p-v closes the block of p and the vertices stacked since v
-    when no edge below v reaches above p. Returns the blocks in closing
-    order, each led by its top vertex p, and the discovery times. `skip` is
-    marked visited with a time above all others: the DFS runs on g - skip."""
+    when no edge below v reaches above p. Yields each block as it closes,
+    led by its top vertex p. `skip` is marked visited with a time above all
+    others: the DFS runs on g - skip. With `present`, only the edges it
+    marks are walked. A loop never lowers a lowpoint: its far end is v."""
     n = len(nb)
     disc, low = [-1] * n, [0] * n
     if skip >= 0:
         disc[skip] = n
-    blocks: List[List[int]] = []
     t = 0
     for root in range(n):
         if disc[root] >= 0:
@@ -253,11 +254,13 @@ def _blocks(nb: List[List[Tuple[int, int]]], skip: int = -1
         disc[root] = low[root] = t
         t += 1
         vstack = [root]
-        # frames: (vertex, tree edge id in or -1, edges left, vstack height)
+        # frames: (vertex, tree edge in or -1, edges left, vstack height)
         stack = [(root, -1, iter(nb[root]), 0)]
         while stack:
             v, in_e, it, at = stack[-1]
             for w, j in it:
+                if present is not None and not present[j]:
+                    continue
                 if disc[w] < 0:
                     disc[w] = low[w] = t
                     t += 1
@@ -275,9 +278,24 @@ def _blocks(nb: List[List[Tuple[int, int]]], skip: int = -1
                 if low[v] < low[p]:
                     low[p] = low[v]
                 if low[v] >= disc[p]:
-                    blocks.append([p] + vstack[at:])
+                    yield [p] + vstack[at:]
                     del vstack[at:]
-    return blocks, disc
+
+
+def _is_2ec(nb: List[List[Tuple[int, int]]],
+            present: Optional[List[bool]] = None) -> bool:
+    """Connected and bridgeless on `_index` lists, over the edges `present`
+    marks (all when None); a single vertex counts as 2EC. n - 1 vertices
+    lie in a block but not as its top (all but the root), and every
+    two-vertex block has parallel edges. Stops at the first block that
+    has not, so a bridge ends the DFS where it closes."""
+    below = 0
+    for b in _blocks(nb, present=present):
+        if len(b) == 2 and [w for w, j in nb[b[1]] if present is None
+                            or present[j]].count(b[0]) < 2:
+            return False
+        below += len(b) - 1
+    return below >= len(nb) - 1
 
 
 def biconnected_blocks(g: Graph) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
@@ -285,15 +303,18 @@ def biconnected_blocks(g: Graph) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
 
     A block is a maximal 2-vertex-connected piece or a single bridge. Loops
     lie in no block; parallel edges land in one block. One `_blocks` run:
-    an edge joins a vertex to an ancestor, so it lies in the block of the
-    deeper end's tree edge, the one block that holds that end not as top.
+    two blocks share at most one vertex, so a block's edges are the
+    non-loop edges with both ends in it, each at an end that is not its top.
     """
     nb = _index(g)
-    blocks, disc = _blocks(nb)
-    vs = g.vertices
-    return [(frozenset(vs[x] for x in b), frozenset(
-        e for x in b[1:] for w, e in nb[x] if disc[w] < disc[x]))
-        for b in blocks]
+    vs, ids = g.vertices, g.edge_ids()
+    out = []
+    for b in _blocks(nb):
+        inside = set(b)
+        out.append((frozenset(vs[x] for x in b), frozenset(
+            ids[j] for x in b[1:] for w, j in nb[x]
+            if w != x and w in inside)))
+    return out
 
 
 def bridges(g: Graph) -> Set[int]:
@@ -304,13 +325,8 @@ def bridges(g: Graph) -> Set[int]:
 
 
 def is_2ec(g: Graph) -> bool:
-    """Connected and bridgeless; a single vertex counts as 2EC. One block
-    DFS: n - 1 vertices in a block but not its top (all but the root), and
-    parallel edges in every two-vertex block."""
-    nb = _index(g)
-    blocks, _disc = _blocks(nb)
-    return sum(len(b) - 1 for b in blocks) >= g.n - 1 and all(
-        len(b) > 2 or [w for w, _ in nb[b[1]]].count(b[0]) > 1 for b in blocks)
+    """Connected and bridgeless; a single vertex counts as 2EC."""
+    return _is_2ec(_index(g))
 
 
 def cut_vertices(g: Graph) -> Set[int]:
@@ -363,7 +379,7 @@ def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
     vs, n = g.vertices, g.n
     nb = _index(g)
     for u in range(n):
-        blocks, _disc = _blocks(nb, u)
+        blocks = list(_blocks(nb, u))
         count = Counter(x for b in blocks for x in b)
         leaf_of = {y for b in blocks if len(b) == 2
                    for x in b if count[x] == 1 for y in b if y != x}

@@ -293,71 +293,49 @@ def structured_solver(g: Graph,
 
 
 def baseline_dfs2(g: Graph) -> FrozenSet[int]:
-    """DFS tree plus, per non-root vertex, the highest back edge leaving
-    its subtree. At most 2n - 2 edges; 2EC whenever g is."""
+    """DFS tree plus, per non-root vertex v, the highest back edge leaving
+    its subtree. At most 2n - 2 edges; 2EC whenever g is.
+
+    Every non-tree edge joins a vertex to an ancestor, so it leaves the
+    subtree of v exactly when its deep end lies in the subtree and its
+    upper end lies above v. One bottom-up pass keeps, per vertex, the least
+    (depth of upper end, edge id) over the non-tree non-loop edges from
+    its subtree; that edge leaves the subtree when any does."""
     if not is_2ec(g):
         raise InfeasibleError("input graph is not 2-edge-connected")
     root = min(g.vertices)
-    parent: Dict[int, Optional[int]] = {root: None}
-    parent_eid: Dict[int, int] = {}
+    parent: Dict[int, Tuple[int, int]] = {}   # vertex -> (parent, tree edge)
+    depth = {root: 0}
     order: List[int] = [root]
-
-    def out(u: int):
-        return iter(g.incident(u))
-
-    stack = [(root, out(root))]
+    stack = [(root, iter(g.incident(root)))]
     while stack:
         u, it = stack[-1]
         for e in it:
             w = e.other(u)
-            if w not in parent:
-                parent[w] = u
-                parent_eid[w] = e.id
+            if w not in depth:
+                depth[w] = depth[u] + 1
+                parent[w] = (u, e.id)
                 order.append(w)
-                stack.append((w, out(w)))
+                stack.append((w, iter(g.incident(w))))
                 break
         else:
             stack.pop()
-    tin: Dict[int, int] = {}
-    tout: Dict[int, int] = {}
-    clock = 0
-    # order is a valid DFS preorder for the parent tree built above
-    children: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    walk = [(root, False)]
-    while walk:
-        v, done = walk.pop()
-        if done:
-            tout[v] = clock
-            continue
-        tin[v] = clock
-        clock += 1
-        walk.append((v, True))
-        for w in reversed(children[v]):
-            walk.append((w, False))
-
-    def in_subtree(x: int, v: int) -> bool:
-        return tin[v] <= tin[x] < tout[v]
-
-    depth = {root: 0}
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    tree_ids = set(parent_eid.values())
-    back = [e for e in g.edges() if e.id not in tree_ids]
+    tree_ids = {eid for _p, eid in parent.values()}
+    best: Dict[int, Tuple[int, int]] = {}
+    for e in g.edges():
+        if e.id not in tree_ids and not e.is_loop():
+            a, b = (e.u, e.v) if depth[e.u] > depth[e.v] else (e.v, e.u)
+            if a not in best or (depth[b], e.id) < best[a]:
+                best[a] = (depth[b], e.id)
+    for v in reversed(order[1:]):
+        p = parent[v][0]
+        if v in best and (p not in best or best[v] < best[p]):
+            best[p] = best[v]
     chosen = set(tree_ids)
     for v in order[1:]:
-        cands = []
-        for e in back:
-            a, b = e.u, e.v
-            if depth[a] < depth[b]:
-                a, b = b, a
-            # a is the deep endpoint; the edge leaves subtree(v) upward
-            if in_subtree(a, v) and not in_subtree(b, v):
-                cands.append((depth[b], e.id))
-        if not cands:
+        if v not in best or best[v][0] >= depth[v]:
             raise InfeasibleError(f"tree edge above {v} is a bridge")
-        chosen.add(min(cands)[1])
+        chosen.add(best[v][1])
     out = frozenset(chosen)
     sub = g.spanning(out)
     assert is_2ec(sub) and sub.n == g.n

@@ -9,8 +9,12 @@ One search, `_deepen`, computes both exact objects, with bounds computed
 from degrees with the standard library only. It deepens on the kept
 count from a degree-deficiency bound with a keep-first DFS in ascending
 edge-id order, so its first hit is the (size, lex) minimum, on an
-explicit frame stack that never recurses. Its callers differ in three
-ways, each an argument:
+explicit frame stack that never recurses. It runs on an `_EdgeArrays`:
+the `graph._index` lists of g, the ends of each edge position, and a
+present mask with the degrees it implies. A removal clears the edge's
+mask bit, and the 2EC test after it is `graph._is_2ec` over the mask,
+the package's one lowpoint DFS, which stops at the first bridge. Its
+callers differ in three ways, each an argument:
 
 - free edges: `min_inner_edges` and `opt_type` keep some edges without
   counting them (`min_2ecss` has none, `min_tf2ec` counts its forced
@@ -42,7 +46,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from .errors import OracleBudgetError, OracleTimeout
-from .graph import Edge, Graph, components, connected_subsets, is_2ec
+from .graph import (Edge, Graph, _index, _is_2ec, components,
+                    connected_subsets, is_2ec)
 
 
 @dataclass
@@ -67,21 +72,19 @@ def _check_deadline(deadline: Optional[float]) -> None:
 
 
 class _EdgeArrays:
-    """Mutable array view of a graph for the hot search loops."""
+    """Mutable array view of a graph for the hot search loops: the
+    `graph._index` lists `nb`, the ends and ids of each edge position, and
+    the present mask and degrees that `remove` and `restore` keep."""
 
     def __init__(self, g: Graph):
-        self.vidx = {v: i for i, v in enumerate(g.vertices)}
+        vidx = {v: i for i, v in enumerate(g.vertices)}
         self.n = g.n
+        self.nb = _index(g)
         es = g.edges()
         self.eids = [e.id for e in es]
         self.pos = {e.id: i for i, e in enumerate(es)}
-        self.eu = [self.vidx[e.u] for e in es]
-        self.ev = [self.vidx[e.v] for e in es]
-        self.adj: List[List[int]] = [[] for _ in range(self.n)]
-        for i in range(len(es)):
-            self.adj[self.eu[i]].append(i)
-            if self.ev[i] != self.eu[i]:
-                self.adj[self.ev[i]].append(i)
+        self.eu = [vidx[e.u] for e in es]
+        self.ev = [vidx[e.v] for e in es]
         self.present = [True] * len(es)
         self.deg = [0] * self.n
         for i in range(len(es)):
@@ -97,52 +100,6 @@ class _EdgeArrays:
         self.present[i] = True
         self.deg[self.eu[i]] += 1
         self.deg[self.ev[i]] += 1
-
-    def is_2ec_now(self) -> bool:
-        """Connected over all n vertices and bridgeless, on present edges."""
-        n = self.n
-        if n == 0:
-            return True
-        disc = [-1] * n
-        low = [0] * n
-        present = self.present
-        adj = self.adj
-        eu, ev = self.eu, self.ev
-        counter = 0
-        disc[0] = low[0] = 0
-        counter = 1
-        visited = 1
-        stack = [(0, -1, 0)]
-        while stack:
-            v, in_e, it = stack.pop()
-            lst = adj[v]
-            advanced = False
-            while it < len(lst):
-                ei = lst[it]
-                it += 1
-                if not present[ei]:
-                    continue
-                w = eu[ei] ^ ev[ei] ^ v
-                if w == v:
-                    continue
-                if disc[w] < 0:
-                    stack.append((v, in_e, it))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    visited += 1
-                    stack.append((w, ei, 0))
-                    advanced = True
-                    break
-                if ei != in_e and disc[w] < low[v]:
-                    low[v] = disc[w]
-            if not advanced and it >= len(lst):
-                if in_e != -1:
-                    p = eu[in_e] ^ ev[in_e] ^ v
-                    if low[v] > disc[p]:
-                        return False  # bridge
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-        return visited == n
 
 
 def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
@@ -168,7 +125,7 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
     every leaf below the node, so the order is unchanged.
     """
     _check_deadline(deadline)
-    eu, ev, adj, deg = arr.eu, arr.ev, arr.adj, arr.deg
+    eu, ev, nb, deg, present = arr.eu, arr.ev, arr.nb, arr.deg, arr.present
     m = len(eu)
     dmin = 0 if connected and arr.n < 2 else 2  # the degree each vertex needs
     st = [0] * m            # edge state: 0 undecided, 1 kept, -1 removed
@@ -212,17 +169,17 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
             if need > 0 and deg[x] - kd[x] <= need:
                 if deg[x] - kd[x] < need:
                     return False
-                for i in adj[x]:
+                for w, i in nb[x]:
                     if st[i] == 0:
                         fix(i, 1)
-                        work.append(eu[i] ^ ev[i] ^ x)
+                        work.append(w)
         return True
 
     def branch(i: int, s: int) -> bool:
         frames.append((i, len(trail), s))
         fix(i, s)
         return settle([eu[i], ev[i]]) and (
-            s == 1 or not connected or arr.is_2ec_now())
+            s == 1 or not connected or _is_2ec(nb, present))
 
     def search(k: int) -> bool:
         nonlocal nodes
@@ -254,7 +211,7 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
 
     for eid in forced:
         fix(arr.pos[eid], 1)
-    if settle(list(range(arr.n))) and (not connected or arr.is_2ec_now()):
+    if settle(list(range(arr.n))) and (not connected or _is_2ec(nb, present)):
         for k in range(nk + (dsum + 1) // 2, hi + 1):
             if search(k):
                 return [i for i in range(m) if st[i] == 1]
@@ -329,9 +286,9 @@ def _min_2ec(g: Graph, free: FrozenSet[int], cap: Optional[int],
         for i in drop:
             arr.remove(i)
         # the present edges are 2EC on entry and after every removal
-        ok = (not drop or arr.is_2ec_now()) and (accept is None or accept(
-            [arr.eids[i] for i, s in enumerate(st) if s == 1
-             and arr.eids[i] not in free]))
+        ok = (not drop or _is_2ec(arr.nb, arr.present)) and (
+            accept is None or accept([arr.eids[i] for i, s in enumerate(st)
+                                      if s == 1 and arr.eids[i] not in free]))
         for i in drop:
             arr.restore(i)
         return ok
@@ -360,18 +317,18 @@ def min_tf2ec(g: Graph, forced: Iterable[int] = (),
     `_deepen` without `connected`, with a triangle test at the leaves.
     """
     arr = _EdgeArrays(g)
-    eu, ev, adj = arr.eu, arr.ev, arr.adj
+    nb = arr.nb
 
     def triangle_free(st: List[int], kd: List[int]) -> bool:
         for x in range(arr.n):
             if kd[x] != 2:
                 continue
-            ks = [i for i in adj[x] if st[i] == 1]
+            ks = [w for w, i in nb[x] if st[i] == 1]
             if len(ks) != 2:
                 continue  # one kept loop
-            a, b = (eu[i] ^ ev[i] ^ x for i in ks)
+            a, b = ks
             if a != b and kd[a] == 2 and kd[b] == 2 and any(
-                    st[i] == 1 and eu[i] ^ ev[i] ^ a == b for i in adj[a]):
+                    st[i] == 1 and w == b for w, i in nb[a]):
                 return False
         return True
 
@@ -433,20 +390,16 @@ class _Certificates:
     def _add(self, arr: _EdgeArrays, order: List[int]) -> None:
         # reverse delete: drop each edge in turn unless that breaks 2EC
         # (g has at least three vertices, so an end of degree < 2 does)
-        deg, eu, ev = arr.deg, arr.eu, arr.ev
+        nb, present, deg, eu, ev = arr.nb, arr.present, arr.deg, arr.eu, arr.ev
         for i in order:
             _check_deadline(self.deadline)
             arr.remove(i)
-            if deg[eu[i]] < 2 or deg[ev[i]] < 2 or not arr.is_2ec_now():
+            if deg[eu[i]] < 2 or deg[ev[i]] < 2 or not _is_2ec(nb, present):
                 arr.restore(i)
         verts = self.g.vertices
-        h: Dict[int, List[int]] = {v: [] for v in verts}
-        for i, kept in enumerate(arr.present):
-            a, b = verts[arr.eu[i]], verts[arr.ev[i]]
-            if kept and a != b:
-                h[a].append(b)
-                h[b].append(a)
-        self.pool.append(h)
+        self.pool.append({verts[x]: [verts[w] for w, i in row
+                                     if present[i] and w != x]
+                          for x, row in enumerate(nb)})
 
     def refute(self, w: FrozenSet[int], cap: int) -> bool:
         """Does some H keep at most cap edges of g[W]?"""
@@ -529,27 +482,6 @@ def _with_uv(g: Graph, u: int, v: int, k: int) -> Graph:
     """g plus k virtual u–v edges, with ids above g's largest."""
     top = max(g.edge_ids(), default=-1)
     return g.with_edges([Edge(top + 1 + i, u, v) for i in range(k)])
-
-
-def classify_type(h: Graph, u: int, v: int) -> Optional[str]:
-    """Type of spanning subgraph h w.r.t. the 2-cut pair {u, v}.
-
-    'A': h is 2EC (one super-node). 'B': contracting each 2EC block gives a
-    path whose end super-nodes contain u and v respectively. 'C': exactly two
-    components, each 2EC (possibly single vertices), one holding u, one v.
-    None: anything else.
-    """
-    # h + uv is 2EC exactly when every bridge of h separates u from v, that
-    # is when the bridge tree is a u–v path; h + 2·uv is 2EC exactly when h
-    # is two 2EC components split by {u, v}.
-    if is_2ec(h):
-        return "A"
-    n_comps = len(components(h))
-    if n_comps == 1 and is_2ec(_with_uv(h, u, v, 1)):
-        return "B"
-    if n_comps == 2 and is_2ec(_with_uv(h, u, v, 2)):
-        return "C"
-    return None
 
 
 def opt_type(g1: Graph, u: int, v: int, t: str,

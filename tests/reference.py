@@ -12,7 +12,16 @@ outputs directly, so the tests can check the solver against them:
 - `irrelevant_one_at_a_time`: the irrelevant-edge rule as one component
   scan per edge, dropping the smallest-id irrelevant edge per round.
 - `min_inner_2ec`: the exact 2EC search as a recursion with one level per
-  edge, against which the solver's deepening search is compared.
+  edge, against which the solver's deepening search is compared. Its
+  bridge test, `BridgeArrays.is_2ec_now`, is a lowpoint DFS of its own on
+  edge positions that stops at the first bridge, so the search is not
+  checked against the solver's `graph._blocks`.
+- `classify_type`: the type A, B or C of a spanning subgraph at a 2-cut
+  pair, read off three 2EC tests.
+- `reachable`: the bridge-cover tree nodes joined to a node set by an
+  augmenting path.
+- `baseline_dfs2`: the DFS baseline with one scan over every back edge per
+  vertex, against which the solver's one bottom-up pass is compared.
 - `biconnected_blocks`, `two_vertex_cuts` and `two_ec_blocks`: the block
   DFS on vertex ids and `Edge` objects, with an edge stack, the cut scan
   that runs it on a built g - u for every u, and the 2EC blocks as one
@@ -23,13 +32,15 @@ outputs directly, so the tests can check the solver against them:
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
+from twoec.bridge_cover import TcTree, _reach_paths
+from twoec.errors import InfeasibleError
 from twoec.graph import (BlockDecomposition, Edge, Graph, components,
                          cut_vertices, find_irrelevant_edge, is_2ec, is_2vc)
 from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
-from twoec.oracle import (OracleBudget, _below, _EdgeArrays,
+from twoec.oracle import (OracleBudget, _below, _EdgeArrays, _with_uv,
                           find_contractible_subgraph, min_inner_edges,
                           min_tf2ec)
 from twoec.reduction import ALPHA_DEFAULT, _parallel_or_loop
@@ -188,6 +199,61 @@ def irrelevant_one_at_a_time(g: Graph) -> List[Graph]:
 # -- the exact 2EC search, one recursion level per edge ----------------------
 
 
+class BridgeArrays(_EdgeArrays):
+    """`_EdgeArrays` with a bridge test of its own over edge positions."""
+
+    def __init__(self, g: Graph):
+        super().__init__(g)
+        self.adj = [[i for _w, i in row] for row in self.nb]
+
+    def is_2ec_now(self) -> bool:
+        """Connected over all n vertices and bridgeless, on present edges."""
+        n = self.n
+        if n == 0:
+            return True
+        disc = [-1] * n
+        low = [0] * n
+        present = self.present
+        adj = self.adj
+        eu, ev = self.eu, self.ev
+        counter = 0
+        disc[0] = low[0] = 0
+        counter = 1
+        visited = 1
+        stack = [(0, -1, 0)]
+        while stack:
+            v, in_e, it = stack.pop()
+            lst = adj[v]
+            advanced = False
+            while it < len(lst):
+                ei = lst[it]
+                it += 1
+                if not present[ei]:
+                    continue
+                w = eu[ei] ^ ev[ei] ^ v
+                if w == v:
+                    continue
+                if disc[w] < 0:
+                    stack.append((v, in_e, it))
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    visited += 1
+                    stack.append((w, ei, 0))
+                    advanced = True
+                    break
+                if ei != in_e and disc[w] < low[v]:
+                    low[v] = disc[w]
+            if not advanced and it >= len(lst):
+                if in_e != -1:
+                    p = eu[in_e] ^ ev[in_e] ^ v
+                    if low[v] > disc[p]:
+                        return False  # bridge
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+        return visited == n
+
+
+
 def min_inner_2ec(g: Graph, free: FrozenSet[int], inner: Sequence[int],
                   cap: Optional[int],
                   accept: Optional[Callable[[List[int]], bool]] = None
@@ -200,7 +266,7 @@ def min_inner_2ec(g: Graph, free: FrozenSet[int], inner: Sequence[int],
     smallest witness of the optimum. With `accept`, a leaf counts only if
     accept(kept edge ids) also holds.
     """
-    arr = _EdgeArrays(g)
+    arr = BridgeArrays(g)
     if not arr.is_2ec_now():
         return None
     asc = [arr.pos[eid] for eid in sorted(inner)]
@@ -358,3 +424,110 @@ def two_ec_blocks(g: Graph) -> BlockDecomposition:
         blocks.append((frozenset(comp), sub.edge_set()))
     blocks.sort(key=lambda b: min(b[0]))
     return BlockDecomposition(blocks, frozenset(br), frozenset(lonely))
+
+
+# -- type classification at a 2-cut pair ------------------------------------
+
+
+def classify_type(h: Graph, u: int, v: int) -> Optional[str]:
+    """Type of spanning subgraph h w.r.t. the 2-cut pair {u, v}.
+
+    'A': h is 2EC (one super-node). 'B': contracting each 2EC block gives a
+    path whose end super-nodes contain u and v respectively. 'C': exactly two
+    components, each 2EC (possibly single vertices), one holding u, one v.
+    None: anything else.
+    """
+    # h + uv is 2EC exactly when every bridge of h separates u from v, that
+    # is when the bridge tree is a u–v path; h + 2·uv is 2EC exactly when h
+    # is two 2EC components split by {u, v}.
+    if is_2ec(h):
+        return "A"
+    n_comps = len(components(h))
+    if n_comps == 1 and is_2ec(_with_uv(h, u, v, 1)):
+        return "B"
+    if n_comps == 2 and is_2ec(_with_uv(h, u, v, 2)):
+        return "C"
+    return None
+
+
+# -- bridge-cover reachability ------------------------------------------------
+
+
+def reachable(tc: TcTree, w: Iterable[int]) -> FrozenSet[int]:
+    """Tree nodes outside w joined to w by some augmenting path."""
+    return frozenset(_reach_paths(tc, w))
+
+
+# -- the DFS baseline, one back-edge scan per vertex -------------------------
+
+
+def baseline_dfs2(g: Graph) -> FrozenSet[int]:
+    """DFS tree plus, per non-root vertex, the highest back edge leaving
+    its subtree. At most 2n - 2 edges; 2EC whenever g is."""
+    if not is_2ec(g):
+        raise InfeasibleError("input graph is not 2-edge-connected")
+    root = min(g.vertices)
+    parent: Dict[int, Optional[int]] = {root: None}
+    parent_eid: Dict[int, int] = {}
+    order: List[int] = [root]
+
+    def out(u: int):
+        return iter(g.incident(u))
+
+    stack = [(root, out(root))]
+    while stack:
+        u, it = stack[-1]
+        for e in it:
+            w = e.other(u)
+            if w not in parent:
+                parent[w] = u
+                parent_eid[w] = e.id
+                order.append(w)
+                stack.append((w, out(w)))
+                break
+        else:
+            stack.pop()
+    tin: Dict[int, int] = {}
+    tout: Dict[int, int] = {}
+    clock = 0
+    # order is a valid DFS preorder for the parent tree built above
+    children: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    walk = [(root, False)]
+    while walk:
+        v, done = walk.pop()
+        if done:
+            tout[v] = clock
+            continue
+        tin[v] = clock
+        clock += 1
+        walk.append((v, True))
+        for w in reversed(children[v]):
+            walk.append((w, False))
+
+    def in_subtree(x: int, v: int) -> bool:
+        return tin[v] <= tin[x] < tout[v]
+
+    depth = {root: 0}
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    tree_ids = set(parent_eid.values())
+    back = [e for e in g.edges() if e.id not in tree_ids]
+    chosen = set(tree_ids)
+    for v in order[1:]:
+        cands = []
+        for e in back:
+            a, b = e.u, e.v
+            if depth[a] < depth[b]:
+                a, b = b, a
+            # a is the deep endpoint; the edge leaves subtree(v) upward
+            if in_subtree(a, v) and not in_subtree(b, v):
+                cands.append((depth[b], e.id))
+        if not cands:
+            raise InfeasibleError(f"tree edge above {v} is a bridge")
+        chosen.add(min(cands)[1])
+    out = frozenset(chosen)
+    sub = g.spanning(out)
+    assert is_2ec(sub) and sub.n == g.n
+    return out

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from twoec.bridge_cover import (build_tc, cover_all, cover_step,
-                                find_cheap_path, merge_two_paths, reachable)
+                                find_cheap_path, merge_two_paths)
 from twoec.cover import canonicalize, cost, initial_cover, enumerate_guesses
 from twoec.graph import Graph, bridges, components, is_2ec
 
 from conftest import random_2ec_graph
+from reference import reachable
 
 
 def cycle(n, offset=0):

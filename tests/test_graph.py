@@ -10,7 +10,7 @@ from twoec.graph import (
     Edge, Graph, biconnected_blocks, bridges, component_graph, components,
     connected_subsets, cut_vertices, find_cross_matching,
     find_irrelevant_edge, hamiltonian_path, is_2ec, is_2vc, is_connected,
-    path_avoiding, two_ec_blocks, two_vertex_cuts,
+    path_avoiding, two_ec_blocks, two_vertex_cuts, _blocks, _index, _is_2ec,
 )
 
 import reference
@@ -243,6 +243,38 @@ class TestBlockReference:
         for g in self.graphs():
             assert is_2ec(g) == (g.n <= 1 or (is_connected(g)
                                               and not bridges(g)))
+
+    def test_masked_is_2ec(self):
+        # `_is_2ec` over a present mask against the 2EC test of the kept
+        # edges as a built graph and the reference bridge test, on n = 0
+        # too and on masks that disconnect g
+        rng = random.Random(7)
+        kinds = Counter()
+        for g in [Graph([], [])] + self.graphs():
+            nb, ids = _index(g), g.edge_ids()
+            for _ in range(4):
+                keep = rng.random()
+                present = [rng.random() < keep for _ in ids]
+                kept = g.spanning(i for i, p in zip(ids, present) if p)
+                arr = reference.BridgeArrays(g)
+                for j, p in enumerate(present):
+                    if not p:
+                        arr.remove(j)
+                want = is_2ec(kept)
+                assert _is_2ec(nb, present) == want == arr.is_2ec_now()
+                kinds[want] += 1
+                kinds["disconnected"] += not is_connected(kept)
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_blocks_closing_order(self):
+        # the blocks of g - skip, in the order the DFS closes them
+        for g in self.graphs():
+            nb, vs = _index(g), g.vertices
+            for skip in range(-1, g.n):
+                rest = g.without_vertices([vs[skip]] if skip >= 0 else [])
+                want = [bvs for bvs, _es in reference.biconnected_blocks(rest)]
+                assert [frozenset(vs[x] for x in b)
+                        for b in _blocks(nb, skip)] == want
 
 
 class TestConnectedSubsets:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from twoec.cli import main
 from twoec.errors import InfeasibleError, ParseError
 from twoec.graph import Edge, Graph, is_2ec
-from twoec.harness import (baseline_dfs2, format_instance, gen_dumbbell,
-                           gen_gnp_2ec, gen_structured_stress, generate,
-                           instance_hash, parse_instance, report_json, solve,
-                           verify)
+from twoec.harness import (FAMILIES, baseline_dfs2, format_instance,
+                           gen_dumbbell, gen_gnp_2ec, gen_structured_stress,
+                           generate, instance_hash, parse_instance,
+                           report_json, solve, verify)
 from twoec.oracle import min_2ecss
 
+import reference
 from conftest import random_2ec_graph
 
 
@@ -91,6 +93,33 @@ class TestBaseline:
         g = Graph(range(3), [Edge(0, 0, 1), Edge(1, 1, 2)])
         with pytest.raises(InfeasibleError):
             baseline_dfs2(g)
+
+    def test_matches_back_edge_scan(self, rng):
+        # the one bottom-up pass against the scan over every back edge per
+        # vertex: equal edge sets, or the same InfeasibleError message
+        graphs = [generate(f, n, seed) for f in FAMILIES
+                  for n in (8, 13, 21, 40) for seed in (0, 1)]
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3 * n))]
+            pairs += [(i, (i + 1) % n) for i in range(n)] * rng.randint(0, 1)
+            rng.shuffle(pairs)
+            graphs.append(Graph.from_edge_list(n, pairs))
+        outcomes = Counter()
+        for g in graphs:
+            got, want = self.outcome(baseline_dfs2, g), \
+                self.outcome(reference.baseline_dfs2, g)
+            assert got == want
+            outcomes[type(got).__name__] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @staticmethod
+    def outcome(fn, g):
+        try:
+            return fn(g)
+        except InfeasibleError as exc:
+            return str(exc)
 
 
 class TestVerify:

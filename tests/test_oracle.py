@@ -17,14 +17,14 @@ from twoec.graph import (Edge, Graph, connected_subsets, is_2ec, components,
                          two_ec_blocks)
 from twoec.harness import generate, solve
 from twoec.oracle import (
-    OracleBudget, classify_type, find_contractible_subgraph, min_2ecss,
-    min_inner_edges, min_tf2ec, opt_type,
+    OracleBudget, find_contractible_subgraph, min_2ecss, min_inner_edges,
+    min_tf2ec, opt_type,
 )
 from twoec.errors import OracleBudgetError, OracleTimeout
 
 from conftest import random_2ec_graph, random_multigraph, small_graphs
-from reference import (check_cover_matching_identity, is_alpha_contractible,
-                       max_tf2matching, min_inner_2ec)
+from reference import (check_cover_matching_identity, classify_type,
+                       is_alpha_contractible, max_tf2matching, min_inner_2ec)
 
 
 def c_n(n):

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 infeasible input,
 import argparse
 import concurrent.futures
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -14,11 +15,11 @@ from typing import Dict, List, Optional
 from . import harness
 from .errors import (InfeasibleError, InternalContradiction,
                      OracleBudgetError, OracleTimeout, ParseError)
-from .graph import is_2ec
+from .graph import Edge, Graph, is_2ec
 from .harness import (FAMILIES, baseline_dfs2, format_instance,
                       instance_hash, parse_instance, report_json,
                       report_with_opt, solve, verify)
-from .oracle import OracleBudget, min_2ecss
+from .oracle import min_2ecss
 from .reduction import ALPHA_MIN
 
 
@@ -34,9 +35,11 @@ def _write(path: Optional[str], text: str) -> None:
         Path(path).write_text(text)
 
 
-def _budget(args) -> OracleBudget:
-    return OracleBudget(vertex_cap=args.oracle_vertex_cap,
-                        time_cap=args.oracle_time_cap)
+def _deadline(args) -> Optional[float]:
+    """The one deadline of an instance, made when work on it starts: its
+    solve and its optimum share `--oracle-time-cap` seconds."""
+    cap = args.oracle_time_cap
+    return None if cap is None else time.monotonic() + cap
 
 
 def _alpha(text: str) -> Fraction:
@@ -54,7 +57,6 @@ def _solve_flags(args) -> Dict[str, object]:
                 seed=args.seed,
                 max_guesses=args.max_guesses,
                 first_feasible=args.first_feasible,
-                budget=_budget(args),
                 want_trace=args.trace)
 
 
@@ -69,9 +71,10 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _read_graph(args.instance)
-    sol, report = solve(g, **_solve_flags(args))
+    deadline = _deadline(args)
+    sol, report = solve(g, deadline=deadline, **_solve_flags(args))
     if args.with_opt:
-        report = report_with_opt(g, report, _budget(args))
+        report = report_with_opt(g, report, deadline, args.oracle_vertex_cap)
     text = report_json(report)
     _write(args.report, text)
     if args.report not in (None, "-"):
@@ -91,7 +94,7 @@ def cmd_verify(args) -> int:
     verdict = verify(g, ids)
     out = {"instance": instance_hash(g), "size": len(set(ids)), **verdict}
     if args.with_opt and verdict["status"] == "OK":
-        opt = min_2ecss(g, _budget(args))
+        opt = min_2ecss(g, _deadline(args), args.oracle_vertex_cap)
         out["opt"] = len(opt)
         out["ratio"] = str(Fraction(len(set(ids)), len(opt)))
     _write(args.report, report_json(out))
@@ -102,17 +105,18 @@ def cmd_oracle(args) -> int:
     g = _read_graph(args.instance)
     if not is_2ec(g):
         raise InfeasibleError("input graph is not 2-edge-connected")
-    opt = min_2ecss(g, _budget(args))
+    opt = min_2ecss(g, _deadline(args), args.oracle_vertex_cap)
     out = {"instance": instance_hash(g), "algorithm": "oracle",
            "n": g.n, "m": g.m, "solution": sorted(opt), "size": len(opt)}
     _write(args.report, report_json(out))
     return 0
 
 
-def _bench_one(path: str, flags: Dict[str, object], with_opt: bool,
-               budget: OracleBudget) -> Dict[str, object]:
+def _bench_one(path: str, flags: Dict[str, object],
+               args) -> Dict[str, object]:
     g = _read_graph(path)
-    sol, report = solve(g, **flags)
+    deadline = _deadline(args)
+    sol, report = solve(g, deadline=deadline, **flags)
     base = baseline_dfs2(g)
     row: Dict[str, object] = {
         "file": path,
@@ -122,9 +126,9 @@ def _bench_one(path: str, flags: Dict[str, object], with_opt: bool,
         "dfs2approx": len(base),
         "certified": report["certified"],
     }
-    if with_opt:
+    if args.with_opt:
         try:
-            opt = min_2ecss(g, budget)
+            opt = min_2ecss(g, deadline, args.oracle_vertex_cap)
             row["opt"] = len(opt)
             row["ratio"] = str(Fraction(len(sol), len(opt)))
             row["baseline_ratio"] = str(Fraction(len(base), len(opt)))
@@ -142,15 +146,12 @@ def cmd_bench(args) -> int:
         else:
             paths.append(item)
     flags = _solve_flags(args)
-    budget = _budget(args)
     if args.jobs > 1 and len(paths) > 1:
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            rows = list(pool.map(_bench_one, paths,
-                                 [flags] * len(paths),
-                                 [args.with_opt] * len(paths),
-                                 [budget] * len(paths)))
+            rows = list(pool.map(_bench_one, paths, [flags] * len(paths),
+                                 [args] * len(paths)))
     else:
-        rows = [_bench_one(p, flags, args.with_opt, budget) for p in paths]
+        rows = [_bench_one(p, flags, args) for p in paths]
     rows.sort(key=lambda r: (str(r["instance"]), str(r["file"])))
     cols = ["file", "n", "m", "paper54", "dfs2approx", "opt", "ratio"]
     for row in rows:
@@ -163,12 +164,13 @@ def cmd_bench(args) -> int:
 
 def cmd_compare(args) -> int:
     g = _read_graph(args.instance)
-    sol, report = solve(g, **_solve_flags(args))
+    deadline = _deadline(args)
+    sol, report = solve(g, deadline=deadline, **_solve_flags(args))
     base = baseline_dfs2(g)
     out = dict(report)
     out["dfs2approx"] = len(base)
     if args.with_opt:
-        out = report_with_opt(g, out, _budget(args))
+        out = report_with_opt(g, out, deadline, args.oracle_vertex_cap)
         out["baseline_ratio"] = str(Fraction(len(base), int(out["opt"])))
     _write(args.report, report_json(out))
     return 0
@@ -239,7 +241,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InternalContradiction, OracleBudgetError, OracleTimeout) as exc:
         print(f"internal: {exc}", file=sys.stderr)
         cex = getattr(exc, "counterexample", None)
-        if cex is not None:
+        if isinstance(cex, tuple) and cex and isinstance(cex[0], Graph):
+            cex = cex[0]
+        if isinstance(cex, Graph):
+            # an instance file numbers the vertices 0..n-1
+            pos = {v: i for i, v in enumerate(cex.vertices)}
+            cex = Graph(range(cex.n), [Edge(e.id, pos[e.u], pos[e.v])
+                                       for e in cex.edges()])
+            print(format_instance(cex, ["counterexample"]), end="",
+                  file=sys.stderr)
+        elif cex is not None:
             print(f"counterexample: {cex!r}", file=sys.stderr)
         return exc.exit_code
 

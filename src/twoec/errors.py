@@ -14,8 +14,9 @@ class ParseError(Exception):
 class InternalContradiction(AssertionError):
     """A branch the underlying theorems rule out fired anyway.
 
-    Carries an optional serialized counterexample; reaching this is a bug
-    signal, never papered over.
+    Carries an optional counterexample, usually the Graph (or a tuple led
+    by it) where the branch fired; the CLI writes such a graph to stderr as
+    an instance file. Reaching this is a bug signal, never papered over.
     """
     exit_code = 4
 
@@ -25,10 +26,10 @@ class InternalContradiction(AssertionError):
 
 
 class OracleBudgetError(Exception):
-    """Search budget (vertex cap or enumeration budget) exhausted."""
+    """Exact-optimum vertex cap or `oracle.SUBSET_BUDGET` exhausted."""
     exit_code = 4
 
 
 class OracleTimeout(Exception):
-    """Per-instance oracle time cap exceeded."""
+    """An exact search ran past the deadline of its instance."""
     exit_code = 4

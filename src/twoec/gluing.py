@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .errors import InternalContradiction
 from .cover import cover_cost, canonical_violations
-from .graph import (ComponentGraph, Edge, FlowNet, Graph, biconnected_blocks,
+from .graph import (ComponentGraph, Edge, FlowNet, Graph, _blocks, _index,
                     component_graph, components, find_cross_matching,
                     hamiltonian_path, is_2ec, path_avoiding)
 
@@ -57,7 +57,8 @@ def _dump(g: Graph, s: Iterable[int]) -> Dict[str, object]:
 def _blocks_of(h: Graph) -> List[FrozenSet[int]]:
     """Biconnected blocks of h as vertex sets (bridges give 2-node blocks),
     ordered by smallest vertex, then size, then sorted vertex list."""
-    return sorted((vs for vs, _es in biconnected_blocks(h)),
+    vs = h.vertices
+    return sorted((frozenset(vs[x] for x in b) for b in _blocks(_index(h))),
                   key=lambda b: (min(b), len(b), sorted(b)))
 
 

@@ -331,8 +331,8 @@ def is_2ec(g: Graph) -> bool:
 
 def cut_vertices(g: Graph) -> Set[int]:
     """Articulation points: the vertices that lie in two or more blocks."""
-    count = Counter(v for vs, _es in biconnected_blocks(g) for v in vs)
-    return {v for v, c in count.items() if c >= 2}
+    count = Counter(x for b in _blocks(_index(g)) for x in b)
+    return {g.vertices[x] for x, c in count.items() if c >= 2}
 
 
 def is_2vc(g: Graph) -> bool:

@@ -17,7 +17,7 @@ from .cover import canonicalize, enumerate_guesses, initial_cover
 from .errors import InfeasibleError, InternalContradiction, ParseError
 from .gluing import glue_all
 from .graph import Edge, Graph, bridges, components, is_2ec
-from .oracle import OracleBudget, min_2ecss
+from .oracle import min_2ecss
 from .reduction import ALPHA_DEFAULT, reduce
 
 # -- instance files --------------------------------------------------------
@@ -378,23 +378,24 @@ def solve(g: Graph,
           seed: Optional[int] = None,
           max_guesses: Optional[int] = None,
           first_feasible: bool = False,
-          budget: Optional[OracleBudget] = None,
+          deadline: Optional[float] = None,
           want_trace: bool = False
           ) -> Tuple[FrozenSet[int], Dict[str, object]]:
     """Run the full pipeline and build a run report.
 
     Raises InfeasibleError when g is not 2EC, ParseError never (parsing is
-    the caller's job), InternalContradiction on a violated invariant.
+    the caller's job), InternalContradiction on a violated invariant, and
+    OracleTimeout past `deadline` (see `reduce`), which the solve's every
+    exact search shares, the structured solver's included.
     """
     tr = SolveTrace()
-    budget = budget or OracleBudget()
 
     def alg(sub: Graph) -> FrozenSet[int]:
         return structured_solver(sub, trace=tr, max_guesses=max_guesses,
                                  first_feasible=first_feasible,
-                                 deadline=budget.deadline())
+                                 deadline=deadline)
 
-    sol, rtrace = reduce(g, alpha=alpha, alg=alg, budget=budget)
+    sol, rtrace = reduce(g, alpha=alpha, alg=alg, deadline=deadline)
     ver = verify(g, sol)
     if ver["status"] != "OK":
         raise InternalContradiction(f"solver output failed verification: {ver}",
@@ -422,9 +423,11 @@ def solve(g: Graph,
 
 
 def report_with_opt(g: Graph, report: Dict[str, object],
-                    budget: Optional[OracleBudget] = None) -> Dict[str, object]:
-    """Attach the exact optimum and the exact ratio to a run report."""
-    opt = min_2ecss(g, budget)
+                    deadline: Optional[float] = None,
+                    vertex_cap: Optional[int] = 16) -> Dict[str, object]:
+    """Attach the exact optimum (see `min_2ecss`) and the exact ratio to a
+    run report."""
+    opt = min_2ecss(g, deadline, vertex_cap)
     report = dict(report)
     report["opt"] = len(opt)
     report["ratio"] = _frac(Fraction(int(report["size"]), len(opt)))

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
@@ -50,17 +49,8 @@ from .graph import (Edge, Graph, _index, _is_2ec, components,
                     connected_subsets, is_2ec)
 
 
-@dataclass
-class OracleBudget:
-    vertex_cap: int = 16
-    time_cap: Optional[float] = None  # seconds; None = unlimited
-    subset_budget: int = 5_000_000    # connected-subset enumeration guard
-
-    def deadline(self) -> Optional[float]:
-        return None if self.time_cap is None else time.monotonic() + self.time_cap
-
-
-DEFAULT_BUDGET = OracleBudget()
+# connected vertex sets `find_contractible_subgraph` may enumerate per call
+SUBSET_BUDGET = 5_000_000
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -221,21 +211,18 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
 # -- minimum 2EC spanning subgraph ----------------------------------------
 
 
-def min_2ecss(g: Graph, budget: Optional[OracleBudget] = None,
-              deadline: Optional[float] = None) -> FrozenSet[int]:
+def min_2ecss(g: Graph, deadline: Optional[float] = None,
+              vertex_cap: Optional[int] = None) -> FrozenSet[int]:
     """Minimum-cardinality 2EC spanning subgraph of g, exact.
 
-    Raises OracleBudgetError above the vertex cap, OracleTimeout past the
-    time cap, or past `deadline` (a `time.monotonic` instant) when one is
-    given in its place, checked on entry too. g must be 2EC; ValueError
-    otherwise.
+    Raises OracleTimeout past `deadline` (a `time.monotonic` instant; None
+    means unlimited), checked on entry too, and OracleBudgetError when g
+    has more than `vertex_cap` vertices (None means no cap). g must be 2EC;
+    ValueError otherwise.
     """
-    budget = budget or DEFAULT_BUDGET
-    if deadline is None:
-        deadline = budget.deadline()
-    if g.n > budget.vertex_cap:
+    if vertex_cap is not None and g.n > vertex_cap:
         raise OracleBudgetError(
-            f"min_2ecss called with n={g.n} > cap {budget.vertex_cap}")
+            f"min_2ecss called with n={g.n} > cap {vertex_cap}")
     found = _min_2ec(g, frozenset(), None, deadline)
     if found is None:
         raise ValueError("min_2ecss input must be 2EC")
@@ -410,7 +397,7 @@ class _Certificates:
 
 
 def find_contractible_subgraph(g: Graph, alpha: Fraction,
-                               budget: Optional[OracleBudget] = None
+                               deadline: Optional[float] = None
                                ) -> Optional[Graph]:
     """Smallest-witness alpha-contractible 2EC subgraph on <= 2/(alpha-1)
     vertices, or None.
@@ -436,11 +423,9 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     ascending and descending edge-id order, and grows by one sparsified
     witness each time the exact test rejects a set; it lives for this call.
 
-    Budget- and time-guarded, with one deadline for the whole search;
-    exhaustion is fatal.
+    Raises OracleTimeout past `deadline` (a `time.monotonic` instant; None
+    means unlimited) and OracleBudgetError after `SUBSET_BUDGET` sets.
     """
-    budget = budget or DEFAULT_BUDGET
-    deadline = budget.deadline()
     kmax = math.floor(Fraction(2) / (alpha - 1))
     if kmax < 3:
         return None
@@ -450,7 +435,7 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     examined = 0
     for w in connected_subsets(g, kmax):
         examined += 1
-        if examined > budget.subset_budget:
+        if examined > SUBSET_BUDGET:
             raise OracleBudgetError(
                 "connected-subset enumeration budget exhausted")
         _check_deadline(deadline)
@@ -463,7 +448,7 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
         sub = g.induced(w)
         if not is_2ec(sub):
             continue
-        c_edges = min_2ecss(sub, OracleBudget(vertex_cap=kmax), deadline)
+        c_edges = min_2ecss(sub, deadline)
         cap = _below(len(c_edges), alpha)
         if certs.refute(w, cap):
             continue

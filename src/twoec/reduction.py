@@ -9,7 +9,6 @@ alpha bound when the solver does.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
@@ -19,8 +18,7 @@ from .cover import GUESS_VERTICES
 from .errors import InfeasibleError, InternalContradiction
 from .graph import (VIRTUAL_BASE, Edge, Graph, components, cut_vertices,
                     find_irrelevant_edge, is_2ec, two_vertex_cuts)
-from .oracle import (OracleBudget, find_contractible_subgraph, min_2ecss,
-                     opt_type)
+from .oracle import find_contractible_subgraph, min_2ecss, opt_type
 
 ALPHA_DEFAULT = Fraction(5, 4)
 ALPHA_MIN = Fraction(6, 5)
@@ -45,12 +43,14 @@ class ReductionTrace:
 
 
 def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = None,
-           budget: Optional[OracleBudget] = None
+           deadline: Optional[float] = None
            ) -> Tuple[FrozenSet[int], ReductionTrace]:
     """Solve g by reduction, dispatching structured remainders to alg.
 
     Returns (edge ids of a 2EC spanning subgraph of g, trace). Raises
-    InfeasibleError when g is not 2EC.
+    InfeasibleError when g is not 2EC, and OracleTimeout when an exact
+    search (base case, contractibility, typed optimum) runs past
+    `deadline`, one `time.monotonic` instant (None means unlimited).
     """
     if alpha < ALPHA_MIN:
         raise ValueError("alpha must be at least 6/5")
@@ -60,8 +60,7 @@ def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = No
         raise InfeasibleError("input graph is not 2-edge-connected")
     trace = ReductionTrace()
     ids = itertools.count(VIRTUAL_BASE)
-    budget = budget or OracleBudget()
-    sol = _red(g, alpha, alg, budget, trace, ids)
+    sol = _red(g, alpha, alg, deadline, trace, ids)
     sub = g.spanning(sol)
     if not is_2ec(sub):
         raise InternalContradiction("reduction output is not 2EC spanning",
@@ -76,7 +75,7 @@ def _small_threshold(alpha: Fraction) -> Fraction:
 
 
 def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
-         budget: OracleBudget, trace: ReductionTrace,
+         deadline: Optional[float], trace: ReductionTrace,
          ids: Iterator[int]) -> FrozenSet[int]:
     # parallel_loop drops one edge and irrelevant every listed edge; both go
     # round again rather than recurse, so no number of such edges reaches
@@ -86,9 +85,7 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
 
         if n <= _small_threshold(alpha):
             trace.steps.append("brute_force")
-            cap = max(budget.vertex_cap, math.floor(_small_threshold(alpha)))
-            return min_2ecss(g, OracleBudget(cap, budget.time_cap,
-                                             budget.subset_budget))
+            return min_2ecss(g, deadline)
 
         cuts1 = cut_vertices(g)
         if cuts1:
@@ -97,8 +94,8 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
             v1 = set(comps[0])
             v2 = set().union(*comps[1:])
             trace.steps.append("one_cut")
-            s1 = _red(g.induced(v1 | {v}), alpha, alg, budget, trace, ids)
-            s2 = _red(g.induced(v2 | {v}), alpha, alg, budget, trace, ids)
+            s1 = _red(g.induced(v1 | {v}), alpha, alg, deadline, trace, ids)
+            s2 = _red(g.induced(v2 | {v}), alpha, alg, deadline, trace, ids)
             return s1 | s2
 
         e = _parallel_or_loop(g)
@@ -121,11 +118,11 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
             g = g.without_edges(irrelevant)
             continue
 
-        h = find_contractible_subgraph(g, alpha, budget)
+        h = find_contractible_subgraph(g, alpha, deadline)
         if h is not None:
             gc, _vmap = g.contract(h.vertices)
             trace.steps.append("contract")
-            rec = _red(gc, alpha, alg, budget, trace, ids)
+            rec = _red(gc, alpha, alg, deadline, trace, ids)
             return frozenset(h.edge_set() | rec)
 
         # the smallest pair, as cuts come in lexicographic order
@@ -133,7 +130,7 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
                     None)
         if pair is not None:
             cut = partition_non_isolating(g, *pair)
-            return handle_two_cut(g, cut, alpha, alg, budget=budget,
+            return handle_two_cut(g, cut, alpha, alg, deadline=deadline,
                                   trace=trace, ids=ids)
 
         if alg is None:
@@ -185,11 +182,10 @@ def partition_non_isolating(g: Graph, u: int, v: int) -> CutPartition:
 
 def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
                    alg: Optional[Solver] = None,
-                   budget: Optional[OracleBudget] = None,
+                   deadline: Optional[float] = None,
                    trace: Optional[ReductionTrace] = None,
                    ids: Optional[Iterator[int]] = None) -> FrozenSet[int]:
     """Resolve a non-isolating 2-vertex cut by one of the three branches."""
-    budget = budget or OracleBudget()
     trace = trace if trace is not None else ReductionTrace()
     ids = ids if ids is not None else itertools.count(VIRTUAL_BASE)
     u, v = cut.u, cut.v
@@ -199,18 +195,17 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
 
     if g2.n <= _small_threshold(alpha):
         trace.steps.append("brute_force")
-        return _opt_via_types(g, g1, g2, u, v, budget)
+        return _opt_via_types(g, g1, g2, u, v, deadline)
 
     if g1.n > contract_thr:
         parts = []
         trace.steps.append("two_cut_both_big")
         for gi in (g1, g2):
             gic, _ = gi.contract({u, v})
-            parts.append(_red(gic, alpha, alg, budget, trace, ids))
+            parts.append(_red(gic, alpha, alg, deadline, trace, ids))
         s = parts[0] | parts[1]
         return s | _min_patch(g, s, 2)
 
-    deadline = budget.deadline()
     opt_1b = opt_type(g1, u, v, "B", g_full=g, deadline=deadline)
     opt_1c = opt_type(g1, u, v, "C", g_full=g, deadline=deadline)
 
@@ -218,7 +213,7 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
         eid = next(ids)
         g2pp = g2.with_edges([Edge(eid, u, v)])
         trace.steps.append("two_cut_type_C")
-        s = opt_1c | (_red(g2pp, alpha, alg, budget, trace, ids) - {eid})
+        s = opt_1c | (_red(g2pp, alpha, alg, deadline, trace, ids) - {eid})
         return s | _min_patch(g, s, 1)
 
     if opt_1b is None:
@@ -228,7 +223,7 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
     e1, e2 = next(ids), next(ids)
     g2ppp = g2.with_edges([Edge(e1, u, w), Edge(e2, v, w)], extra_vertices=[w])
     trace.steps.append("two_cut_type_AB")
-    s2 = _red(g2ppp, alpha, alg, budget, trace, ids)
+    s2 = _red(g2ppp, alpha, alg, deadline, trace, ids)
     if e1 not in s2 or e2 not in s2:
         raise InternalContradiction("dummy edges missing from sub-solution",
                                     counterexample=g)
@@ -258,13 +253,12 @@ _TYPE_COMBOS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"),
 
 
 def _opt_via_types(g: Graph, g1: Graph, g2: Graph, u: int, v: int,
-                   budget: OracleBudget) -> FrozenSet[int]:
+                   deadline: Optional[float]) -> FrozenSet[int]:
     """Exact optimum of g decomposed across the cut {u, v}.
 
     Both sides stay at or below the brute-force size, so the per-side typed
     optima are affordable even when the combined graph is not.
     """
-    deadline = budget.deadline()
     optima: Dict[Tuple[int, str], Optional[FrozenSet[int]]] = {}
 
     def typed(side: int, t: str) -> Optional[FrozenSet[int]]:

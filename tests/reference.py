@@ -40,7 +40,7 @@ from twoec.errors import InfeasibleError
 from twoec.graph import (BlockDecomposition, Edge, Graph, components,
                          cut_vertices, find_irrelevant_edge, is_2ec, is_2vc)
 from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
-from twoec.oracle import (OracleBudget, _below, _EdgeArrays, _with_uv,
+from twoec.oracle import (_below, _EdgeArrays, _with_uv,
                           find_contractible_subgraph, min_inner_edges,
                           min_tf2ec)
 from twoec.reduction import ALPHA_DEFAULT, _parallel_or_loop
@@ -59,8 +59,7 @@ class StructureReport:
         return self.ok
 
 
-def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT,
-                  budget: Optional[OracleBudget] = None) -> StructureReport:
+def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT) -> StructureReport:
     """Check the full structured-instance contract, cheapest tests first."""
     for e in g.edges():
         if e.is_loop():
@@ -80,7 +79,7 @@ def is_structured(g: Graph, alpha: Fraction = ALPHA_DEFAULT,
     for (a, b), kind in cuts:
         if kind == "non_isolating":
             return StructureReport(False, "non_isolating_cut", (a, b))
-    h = find_contractible_subgraph(g, alpha, budget)
+    h = find_contractible_subgraph(g, alpha)
     if h is not None:
         return StructureReport(False, "contractible_subgraph",
                                tuple(sorted(h.vertices)))

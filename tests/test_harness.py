@@ -1,11 +1,14 @@
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from twoec import cli, harness, oracle
 from twoec.cli import main
-from twoec.errors import InfeasibleError, ParseError
+from twoec.errors import (InfeasibleError, InternalContradiction,
+                          OracleTimeout, ParseError)
 from twoec.graph import Edge, Graph, is_2ec
 from twoec.harness import (FAMILIES, baseline_dfs2, format_instance,
                            gen_dumbbell, gen_gnp_2ec, gen_structured_stress,
@@ -166,12 +169,76 @@ class TestSolve:
         _, b = solve(g, seed=3, want_trace=True)
         assert report_json(a) == report_json(b)
 
+    def test_one_deadline_per_solve(self, monkeypatch):
+        # the base case, contractibility and 2-cut searches all check the
+        # one deadline the solve was given, not one of their own
+        seen = set()
+        check = oracle._check_deadline
+
+        def record(deadline):
+            seen.add(deadline)
+            check(deadline)
+
+        monkeypatch.setattr(oracle, "_check_deadline", record)
+        deadline = time.monotonic() + 1e6
+        _, report = solve(generate("structured_stress", 40, 40),
+                          deadline=deadline, want_trace=True)
+        steps = set(report["trace"]["reduction_steps"])
+        assert {"brute_force", "contract", "two_cut_type_AB"} <= steps
+        assert seen == {deadline}
+
+    def test_passed_deadline_raises(self):
+        with pytest.raises(OracleTimeout):
+            solve(generate("structured_stress", 40, 40),
+                  deadline=time.monotonic())
+
 
 class TestCli:
     def run(self, argv, capsys):
         code = main(argv)
         out = capsys.readouterr()
         return code, out.out, out.err
+
+    def test_counterexample_replays(self, tmp_path, capsys, monkeypatch):
+        # the prism C9 x K2 reduces by no rule and is dispatched whole; a
+        # structured solver that returns nothing raises, and stderr carries
+        # the dispatched graph as an instance file
+        rim = [(i, (i + 1) % 9) for i in range(9)]
+        g = Graph.from_edge_list(18, rim + [(a + 9, b + 9) for a, b in rim]
+                                 + [(i, i + 9) for i in range(9)])
+        inst = tmp_path / "prism.txt"
+        inst.write_text(format_instance(g))
+        monkeypatch.setattr(harness, "structured_solver",
+                            lambda *args, **kwargs: frozenset())
+        code, _, err = self.run(["solve", str(inst)], capsys)
+        assert code == 4
+        head, text = err.split("\n", 1)
+        assert head == "internal: structured solver output not 2EC"
+        bad = parse_instance(text)
+        assert (bad.n, bad.m) == (18, 27)
+        monkeypatch.undo()
+        replay = tmp_path / "replay.txt"
+        replay.write_text(text)
+        code, _, err = self.run(["solve", str(replay)], capsys)
+        assert code == 0, err
+
+    def test_counterexample_renumbered(self, tmp_path, capsys, monkeypatch):
+        # a (graph, solution) counterexample on vertices 10, 20, 30, 40 is
+        # written on 0..3 in sorted order, edges in id order
+        g = Graph([40, 10, 30, 20], [Edge(5, 40, 10), Edge(2, 10, 30),
+                                     Edge(7, 30, 20), Edge(3, 20, 40)])
+
+        def broken(*args, **kwargs):
+            raise InternalContradiction("broken", counterexample=(g, {2}))
+
+        monkeypatch.setattr(cli, "solve", broken)
+        inst = tmp_path / "c4.txt"
+        inst.write_text(format_instance(cyc(4)))
+        code, _, err = self.run(["solve", str(inst)], capsys)
+        assert code == 4
+        bad = parse_instance(err.split("\n", 1)[1])
+        assert [(e.u, e.v) for e in bad.edges()] == [(0, 2), (1, 3), (3, 0),
+                                                     (2, 1)]
 
     def test_gen_solve_verify_roundtrip(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"

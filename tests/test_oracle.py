@@ -17,8 +17,8 @@ from twoec.graph import (Edge, Graph, connected_subsets, is_2ec, components,
                          two_ec_blocks)
 from twoec.harness import generate, solve
 from twoec.oracle import (
-    OracleBudget, find_contractible_subgraph, min_2ecss, min_inner_edges,
-    min_tf2ec, opt_type,
+    find_contractible_subgraph, min_2ecss, min_inner_edges, min_tf2ec,
+    opt_type,
 )
 from twoec.errors import OracleBudgetError, OracleTimeout
 
@@ -128,7 +128,7 @@ class TestMin2ecss:
 
     def test_vertex_cap(self):
         with pytest.raises(OracleBudgetError):
-            min_2ecss(c_n(20), OracleBudget(vertex_cap=16))
+            min_2ecss(c_n(20), vertex_cap=16)
 
     def test_runs_without_networkx(self):
         # the solver must not need the test-only networkx package
@@ -368,22 +368,19 @@ class TestContractibility:
         g = c_n(9)
         assert find_contractible_subgraph(g, Fraction(5, 4)) is None
 
-    def test_subset_budget(self):
+    def test_subset_budget(self, monkeypatch):
         # C9 has 9 * 8 = 72 connected vertex sets of at most 8 vertices
-        assert find_contractible_subgraph(
-            c_n(9), Fraction(5, 4), OracleBudget(subset_budget=72)) is None
-        with pytest.raises(OracleBudgetError):
-            find_contractible_subgraph(c_n(9), Fraction(5, 4),
-                                       OracleBudget(subset_budget=71))
-        with pytest.raises(OracleBudgetError):
-            find_contractible_subgraph(c_n(9), Fraction(5, 4),
-                                       OracleBudget(subset_budget=10))
+        monkeypatch.setattr(oracle, "SUBSET_BUDGET", 72)
+        assert find_contractible_subgraph(c_n(9), Fraction(5, 4)) is None
+        for budget in (71, 10):
+            monkeypatch.setattr(oracle, "SUBSET_BUDGET", budget)
+            with pytest.raises(OracleBudgetError):
+                find_contractible_subgraph(c_n(9), Fraction(5, 4))
 
     def test_time_cap_reaches_search(self):
         g = generate("gnp_2ec", 17, 3, density=0.2)
         with pytest.raises(OracleTimeout):
-            find_contractible_subgraph(g, Fraction(5, 4),
-                                       OracleBudget(time_cap=0))
+            find_contractible_subgraph(g, Fraction(5, 4), time.monotonic())
 
     @given(small_graphs().filter(is_2ec))
     @settings(max_examples=150, deadline=None)
@@ -422,15 +419,15 @@ class TestContractibility:
                     assert not is_alpha_contractible(g, c, alpha)
         assert found > 20 and checked > 500
 
-    def test_nothing_to_find_below_three_vertices(self):
+    def test_nothing_to_find_below_three_vertices(self, monkeypatch):
         # the C4 above is contractible while 2/(alpha-1) >= 4; once that
         # is below 3 no set is enumerated, so a zero budget holds
         g = Graph.from_edge_list(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                                      (0, 4), (4, 5), (5, 6), (6, 7), (7, 2)])
         assert find_contractible_subgraph(g, Fraction(3, 2)) is not None
+        monkeypatch.setattr(oracle, "SUBSET_BUDGET", 0)
         for alpha in (Fraction(2), Fraction(3), Fraction(4)):
-            assert find_contractible_subgraph(
-                g, alpha, OracleBudget(subset_budget=0)) is None
+            assert find_contractible_subgraph(g, alpha) is None
 
     def test_monotone_in_alpha(self, rng):
         for _ in range(8):

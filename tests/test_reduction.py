@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from twoec import reduction
 from twoec.errors import InfeasibleError, InternalContradiction
 from twoec.graph import Graph, is_2ec, is_2vc
 from twoec.harness import solve
-from twoec.oracle import OracleBudget, min_2ecss
+from twoec.oracle import min_2ecss
 from twoec.reduction import (CutPartition, ReductionTrace, handle_two_cut,
                              partition_non_isolating, reduce)
 
@@ -16,7 +17,7 @@ from reference import irrelevant_one_at_a_time, is_structured
 
 
 def exact_alg(g):
-    return min_2ecss(g, OracleBudget(vertex_cap=64, time_cap=120.0))
+    return min_2ecss(g, time.monotonic() + 120.0, vertex_cap=64)
 
 
 def cycle(n, offset=0):
@@ -121,7 +122,7 @@ class TestReduceRules:
         # the first one is the closure.
         offered = []
 
-        def record(g, alpha, budget):
+        def record(g, alpha, deadline):
             offered.append(g)
             return None
 
@@ -150,7 +151,7 @@ class TestReduceRules:
         sol, trace = reduce(g)
         assert is_2ec(g.spanning(sol))
         assert "contract" in trace.steps
-        assert len(sol) == len(min_2ecss(g, OracleBudget(vertex_cap=20)))
+        assert len(sol) == len(min_2ecss(g, vertex_cap=20))
 
     def test_both_big_barbell(self):
         # cycles on 2..18 and 19..35, joined through 0 and 1
@@ -216,7 +217,7 @@ class TestReduceMedium:
             g = random_2ec_graph(rng, n)
             sol, trace = reduce(g, alg=exact_alg)
             assert is_2ec(g.spanning(sol))
-            opt = len(min_2ecss(g, OracleBudget(vertex_cap=25, time_cap=60.0)))
+            opt = len(min_2ecss(g, time.monotonic() + 60.0, vertex_cap=25))
             assert len(sol) <= max(opt, (5 * opt) // 4 - 2)
             for d in trace.dispatched:
                 assert is_structured(d)

@@ -116,21 +116,26 @@ def _bench_one(path: str, flags: Dict[str, object],
                args) -> Dict[str, object]:
     g = _read_graph(path)
     deadline = _deadline(args)
-    sol, report = solve(g, deadline=deadline, **flags)
+    try:
+        sol, report = solve(g, deadline=deadline, **flags)
+        size, certified = len(sol), report["certified"]
+    except (OracleBudgetError, OracleTimeout):
+        size = certified = None
     base = baseline_dfs2(g)
     row: Dict[str, object] = {
         "file": path,
-        "instance": report["instance"],
+        "instance": instance_hash(g),
         "n": g.n, "m": g.m,
-        "paper54": len(sol),
+        "paper54": size,
         "dfs2approx": len(base),
-        "certified": report["certified"],
+        "certified": certified,
     }
     if args.with_opt:
         try:
             opt = min_2ecss(g, deadline, args.oracle_vertex_cap)
             row["opt"] = len(opt)
-            row["ratio"] = str(Fraction(len(sol), len(opt)))
+            if size is not None:
+                row["ratio"] = str(Fraction(size, len(opt)))
             row["baseline_ratio"] = str(Fraction(len(base), len(opt)))
         except (OracleBudgetError, OracleTimeout):
             row["opt"] = None

@@ -26,7 +26,8 @@ class InternalContradiction(AssertionError):
 
 
 class OracleBudgetError(Exception):
-    """Exact-optimum vertex cap or `oracle.SUBSET_BUDGET` exhausted."""
+    """Exact-optimum vertex cap exceeded, or `oracle.SUBSET_BUDGET` nodes
+    of the contractibility set search exhausted."""
     exit_code = 4
 
 

@@ -13,8 +13,8 @@ skipped in place of a built g - u, whether each {u, v} is a 2-vertex cut
 and of which class. Over a mask of present edges, `_is_2ec` is also the
 exact oracle's 2EC test: the branch and bound removes and restores edges
 in the mask and stops the DFS at the first bridge. `connected_subsets`
-is the one enumerator of small connected vertex sets, shared by the
-guess enumeration and the contractibility search.
+enumerates small connected vertex sets for the guess enumeration; its
+order is the one the contractibility search tests its sets in.
 """
 
 from __future__ import annotations

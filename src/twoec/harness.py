@@ -8,6 +8,7 @@ thin shell around the functions here.
 import hashlib
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -400,10 +401,11 @@ def solve(g: Graph,
     if ver["status"] != "OK":
         raise InternalContradiction(f"solver output failed verification: {ver}",
                                     counterexample=(g, sol))
+    # interned: a caller that keeps many reports of one graph holds one copy
     report: Dict[str, object] = {
-        "instance": instance_hash(g),
+        "instance": sys.intern(instance_hash(g)),
         "algorithm": "paper54",
-        "alpha": _frac(alpha),
+        "alpha": sys.intern(_frac(alpha)),
         "n": g.n,
         "m": g.m,
         "solution": sorted(sol),

@@ -25,7 +25,9 @@ callers differ in three ways, each an argument:
   `min_tf2ec`, no triangle component.
 
 `find_contractible_subgraph` runs the exact 2EC search only on the few
-vertex sets W that cheap certificates leave open. For any 2EC spanning
+vertex sets W that cheap tests leave open. Its set search makes only the
+connected sets in which every vertex has two edge ends, and they are
+tested in the order of `graph.connected_subsets`. For any 2EC spanning
 subgraph H of g, H ∩ E(g[W]) is a witness against W, because
 (g − E(g[W])) ∪ (H ∩ E(g[W])) contains H. So W is not contractible when
 some H keeps fewer than |E(C)|/alpha edges of g[W], C the minimum 2EC
@@ -41,15 +43,14 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .errors import OracleBudgetError, OracleTimeout
-from .graph import (Edge, Graph, _index, _is_2ec, components,
-                    connected_subsets, is_2ec)
+from .graph import Edge, Graph, _index, _is_2ec, components, is_2ec
 
 
-# connected vertex sets `find_contractible_subgraph` may enumerate per call
+# nodes the set search of `find_contractible_subgraph` may make per call
 SUBSET_BUDGET = 5_000_000
 
 
@@ -334,18 +335,61 @@ def _below(x: int, alpha: Fraction) -> int:
     return math.ceil(Fraction(x) / alpha) - 1
 
 
-def _two_ends_each(w: FrozenSet[int], far: Dict[int, List[int]]) -> bool:
-    """Does every vertex of w have at least two entries of `far` in w?"""
-    for v in w:
-        ends = 0
-        for x in far[v]:
-            if x in w:
-                ends += 1
-                if ends == 2:
-                    break
-        else:
-            return False
-    return True
+def _two_ended_sets(g: Graph, far: Dict[int, List[int]], kmax: int,
+                    deadline: Optional[float]
+                    ) -> Iterator[Tuple[int, List[FrozenSet[int]]]]:
+    """For each anchor v of g, ascending: v and the connected sets W with
+    min(W) = v and 3 <= |W| <= kmax in which every vertex has two entries
+    of `far` (its non-loop edge ends), each set once, in no set order.
+
+    A search node is a connected set W with the set of vertices it may not
+    take. It branches on the far ends of W's first deficient vertex, or on
+    W's boundary when none is deficient; each branch bans the earlier
+    candidates. It runs on an explicit stack, since kmax grows without
+    bound as alpha -> 1. Raises OracleBudgetError after `SUBSET_BUDGET`
+    nodes and OracleTimeout past `deadline`.
+    """
+    nodes = 0
+    for v in g.vertices:
+        found: List[FrozenSet[int]] = []
+        # (W, members that may lack two ends in W, oldest first, banned)
+        stack = [(frozenset((v,)), (v,), frozenset())]
+        while stack:
+            w, short, banned = stack.pop()
+            nodes += 1
+            if nodes > SUBSET_BUDGET:
+                raise OracleBudgetError("set search budget exhausted")
+            _check_deadline(deadline)
+            while short and sum(map(w.__contains__, far[short[0]])) >= 2:
+                short = short[1:]
+            if not short and len(w) >= 3:
+                found.append(w)
+            if len(w) == kmax:
+                continue
+            ends = far[short[0]] if short else [y for x in w for y in far[x]]
+            cands = [y for y in dict.fromkeys(ends)
+                     if y > v and y not in w and y not in banned]
+            for i, c in enumerate(cands):
+                stack.append((w | {c}, short + (c,), banned.union(cands[:i])))
+        yield v, found
+
+
+def _preorder_key(nbrs: Dict[int, List[int]], v: int,
+                  w: FrozenSet[int]) -> List[int]:
+    """Where `connected_subsets` yields w among the sets of anchor v = min(w):
+    w lies under the child of the first extension-list vertex it holds, so
+    that index, frame by frame, orders the sets as its preorder does."""
+    current, banned, key = {v}, set(), []
+    ext = [x for x in nbrs[v] if x > v]
+    while len(current) < len(w):
+        i = next(i for i, x in enumerate(ext) if x in w)
+        key.append(i)
+        banned.update(ext[:i])
+        u, rest = ext[i], ext[i + 1:]
+        current.add(u)
+        ext = rest + [x for x in nbrs[u] if x > v and x not in current
+                      and x not in banned and x not in rest]
+    return key
 
 
 class _Certificates:
@@ -402,29 +446,34 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     """Smallest-witness alpha-contractible 2EC subgraph on <= 2/(alpha-1)
     vertices, or None.
 
-    Enumerates connected vertex sets (ascending minimum id, then extension
-    order); for each set W whose induced graph is 2EC, tests whether the
-    minimum 2EC spanning subgraph C of g[W] is contractible, i.e. whether no
-    H' ⊆ E(g[W]) with |H'| < |E(C)|/alpha restores 2EC of g with g[W]'s
-    edges dropped. A contractible C has at least three vertices, so when
-    2/(alpha-1) < 3 there is none to find.
+    Tests connected vertex sets W in the order `connected_subsets` yields
+    them (ascending minimum id, then extension order): for each W whose
+    induced graph is 2EC, whether the minimum 2EC spanning subgraph C of
+    g[W] is contractible, i.e. whether no H' ⊆ E(g[W]) with |H'| <
+    |E(C)|/alpha restores 2EC of g with g[W]'s edges dropped. A
+    contractible C has at least three vertices, so when 2/(alpha-1) < 3
+    there is none to find.
 
-    Most sets are rejected before the exact test:
-    - a degree filter read off g's adjacency: every vertex of W needs two
-      non-loop edges to W, as in every 2EC graph on three or more vertices
-      (a lone one is a bridge);
+    Most sets are never tested:
+    - `_two_ended_sets` generates only the sets in which every vertex has
+      two non-loop edges to W, as in every 2EC graph on three or more
+      vertices (a lone one is a bridge), one anchor at a time;
     - a pool of 2EC spanning subgraphs H of g (see `_Certificates`): W is
       skipped when some H keeps fewer than |W|/alpha edges of g[W], checked
       before g[W] is built, since |E(C)| >= |W|; and again, once C is known,
       when some H keeps fewer than |E(C)|/alpha.
     A skipped set is one the exact test rejects, so the result is the same
-    as without them. The pool is built at the first set that passes the
-    degree filter, from reverse-delete minimal 2EC spanning subgraphs in
-    ascending and descending edge-id order, and grows by one sparsified
-    witness each time the exact test rejects a set; it lives for this call.
+    as without them. The pool is built at the first anchor with a set,
+    from reverse-delete minimal 2EC spanning subgraphs in ascending and
+    descending edge-id order, and grows by one sparsified witness each
+    time the exact test rejects a set; it lives for this call. An anchor's
+    sets that the pool refutes at its start are dropped, and `_preorder_key`
+    sorts the rest into `connected_subsets`' order, so the exact tests and
+    the pool run as on a scan of every connected set.
 
     Raises OracleTimeout past `deadline` (a `time.monotonic` instant; None
-    means unlimited) and OracleBudgetError after `SUBSET_BUDGET` sets.
+    means unlimited) and OracleBudgetError after `SUBSET_BUDGET` nodes of
+    the set search.
     """
     kmax = math.floor(Fraction(2) / (alpha - 1))
     if kmax < 3:
@@ -432,31 +481,32 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
            for v in g.vertices}
     certs: Optional[_Certificates] = None
-    examined = 0
-    for w in connected_subsets(g, kmax):
-        examined += 1
-        if examined > SUBSET_BUDGET:
-            raise OracleBudgetError(
-                "connected-subset enumeration budget exhausted")
-        _check_deadline(deadline)
-        if len(w) < 3 or not _two_ends_each(w, far):
+    for v, found in _two_ended_sets(g, far, kmax, deadline):
+        if not found:
             continue
         if certs is None:
             certs = _Certificates(g, deadline)
-        if certs.refute(w, _below(len(w), alpha)):
-            continue
-        sub = g.induced(w)
-        if not is_2ec(sub):
-            continue
-        c_edges = min_2ecss(sub, deadline)
-        cap = _below(len(c_edges), alpha)
-        if certs.refute(w, cap):
-            continue
-        inner = sub.edge_ids()
-        found = min_inner_edges(g, inner, cap, deadline)
-        if found is None:
-            return g.subgraph(c_edges, w)
-        certs.add_witness(inner, found[1])
+            nbrs = {x: g.neighbors(x) for x in g.vertices}
+        # the pool only grows, so what it refutes now stays refuted
+        found = [w for w in found
+                 if not certs.refute(w, _below(len(w), alpha))]
+        found.sort(key=lambda w: _preorder_key(nbrs, v, w))
+        for w in found:
+            _check_deadline(deadline)
+            if certs.refute(w, _below(len(w), alpha)):
+                continue
+            sub = g.induced(w)
+            if not is_2ec(sub):
+                continue
+            c_edges = min_2ecss(sub, deadline)
+            cap = _below(len(c_edges), alpha)
+            if certs.refute(w, cap):
+                continue
+            inner = sub.edge_ids()
+            witness = min_inner_edges(g, inner, cap, deadline)
+            if witness is None:
+                return g.subgraph(c_edges, w)
+            certs.add_witness(inner, witness[1])
     return None
 
 

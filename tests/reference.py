@@ -9,6 +9,9 @@ outputs directly, so the tests can check the solver against them:
   between triangle-free 2-edge covers and triangle-free 2-matchings.
 - `is_alpha_contractible`: the definition of an alpha-contractible
   subgraph, tested on one given subgraph.
+- `contractible_by_scan` and `two_ends_each`: the contractibility search
+  as a scan of every set `connected_subsets` yields through the two-ends
+  filter, which the solver's search must match set for set and in order.
 - `irrelevant_one_at_a_time`: the irrelevant-edge rule as one component
   scan per edge, dropping the smallest-id irrelevant edge per round.
 - `min_inner_2ec`: the exact 2EC search as a recursion with one level per
@@ -29,18 +32,21 @@ outputs directly, so the tests can check the solver against them:
   versions run one DFS on integer positions and must give equal lists.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
+from twoec import oracle
 from twoec.bridge_cover import TcTree, _reach_paths
 from twoec.errors import InfeasibleError
 from twoec.graph import (BlockDecomposition, Edge, Graph, components,
-                         cut_vertices, find_irrelevant_edge, is_2ec, is_2vc)
+                         connected_subsets, cut_vertices, find_irrelevant_edge,
+                         is_2ec, is_2vc)
 from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
-from twoec.oracle import (_below, _EdgeArrays, _with_uv,
+from twoec.oracle import (_below, _Certificates, _EdgeArrays, _with_uv,
                           find_contractible_subgraph, min_inner_edges,
                           min_tf2ec)
 from twoec.reduction import ALPHA_DEFAULT, _parallel_or_loop
@@ -168,6 +174,54 @@ def is_alpha_contractible(g: Graph, c: Graph, alpha: Fraction) -> bool:
     if cap < 0:
         return True
     return min_inner_edges(g, inner, cap) is None
+
+
+def two_ends_each(w: FrozenSet[int], far: Dict[int, List[int]]) -> bool:
+    """Does every vertex of w have at least two entries of `far` in w?"""
+    for v in w:
+        ends = 0
+        for x in far[v]:
+            if x in w:
+                ends += 1
+                if ends == 2:
+                    break
+        else:
+            return False
+    return True
+
+
+def contractible_by_scan(g: Graph, alpha: Fraction) -> Optional[Graph]:
+    """`find_contractible_subgraph` as a scan of every connected set, with no
+    budget: each set that `connected_subsets` yields goes through the
+    two-ends filter, then the certificate pool and the exact test as the
+    solver's search runs them. It calls `min_2ecss` and `min_inner_edges`
+    through the `oracle` module, so a test can record both searches."""
+    kmax = math.floor(Fraction(2) / (alpha - 1))
+    if kmax < 3:
+        return None
+    far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
+           for v in g.vertices}
+    certs: Optional[_Certificates] = None
+    for w in connected_subsets(g, kmax):
+        if len(w) < 3 or not two_ends_each(w, far):
+            continue
+        if certs is None:
+            certs = _Certificates(g, None)
+        if certs.refute(w, _below(len(w), alpha)):
+            continue
+        sub = g.induced(w)
+        if not is_2ec(sub):
+            continue
+        c_edges = oracle.min_2ecss(sub)
+        cap = _below(len(c_edges), alpha)
+        if certs.refute(w, cap):
+            continue
+        inner = sub.edge_ids()
+        found = oracle.min_inner_edges(g, inner, cap)
+        if found is None:
+            return g.subgraph(c_edges, w)
+        certs.add_witness(inner, found[1])
+    return None
 
 
 # -- the irrelevant-edge rule, one edge at a time ----------------------------

@@ -169,6 +169,13 @@ class TestSolve:
         _, b = solve(g, seed=3, want_trace=True)
         assert report_json(a) == report_json(b)
 
+    def test_reports_share_interned_strings(self):
+        # a caller that keeps many reports of one graph holds one copy of
+        # its hash and of the alpha text
+        g = cyc(8)
+        a, b = solve(g)[1], solve(g)[1]
+        assert a["instance"] is b["instance"] and a["alpha"] is b["alpha"]
+
     def test_one_deadline_per_solve(self, monkeypatch):
         # the base case, contractibility and 2-cut searches all check the
         # one deadline the solve was given, not one of their own
@@ -370,6 +377,28 @@ class TestCli:
         for row in rows:
             assert row["opt"] <= min(row["paper54"], row["dfs2approx"])
             assert Fraction(row["ratio"]) <= Fraction(5, 4)
+
+    def test_bench_survives_solve_timeout(self, capsys, tmp_path):
+        # every solve is past its deadline: each row is written with a
+        # null solution size, and bench still exits 0
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for family, n in (("gnp_2ec", 10), ("hamiltonian_plus_chords", 12)):
+            self.run(["gen", family, "--n", str(n), "--seed", "1",
+                      "--out", str(corpus / f"{family}.txt")], capsys)
+        rep = tmp_path / "b0.json"
+        for extra in ([], ["--with-opt"]):
+            code, _, err = self.run(["bench", str(corpus), *extra,
+                                     "--oracle-time-cap", "0",
+                                     "--report", str(rep)], capsys)
+            assert code == 0, err
+            rows = json.loads(rep.read_text())["rows"]
+            assert sorted(r["instance"] for r in rows) == sorted(
+                instance_hash(parse_instance(p.read_text()))
+                for p in corpus.iterdir())
+            for row in rows:
+                assert row["paper54"] is None
+                assert row.get("opt", None) is None and "ratio" not in row
 
     def test_compare_with_opt(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"

@@ -24,7 +24,8 @@ from twoec.errors import OracleBudgetError, OracleTimeout
 
 from conftest import random_2ec_graph, random_multigraph, small_graphs
 from reference import (check_cover_matching_identity, classify_type,
-                       is_alpha_contractible, max_tf2matching, min_inner_2ec)
+                       contractible_by_scan, is_alpha_contractible,
+                       max_tf2matching, min_inner_2ec, two_ends_each)
 
 
 def c_n(n):
@@ -328,6 +329,14 @@ def random_2ec_multigraph(rng, n):
     return g.with_edges(extra)
 
 
+def relabel(rng, g):
+    """g on random vertex labels and edge ids."""
+    vs = dict(zip(g.vertices, rng.sample(range(10 * g.n + 10), g.n)))
+    ids = rng.sample(range(10 * g.m + 10), g.m)
+    return Graph(vs.values(), [Edge(i, vs[e.u], vs[e.v])
+                               for i, e in zip(ids, g.edges())])
+
+
 def unfiltered_contractible(g, alpha):
     """The first set W, in enumeration order, whose g[W] is 2EC and whose
     minimum 2EC spanning subgraph is contractible; no filter, no pool."""
@@ -369,13 +378,83 @@ class TestContractibility:
         assert find_contractible_subgraph(g, Fraction(5, 4)) is None
 
     def test_subset_budget(self, monkeypatch):
-        # C9 has 9 * 8 = 72 connected vertex sets of at most 8 vertices
-        monkeypatch.setattr(oracle, "SUBSET_BUDGET", 72)
+        # on C9 at kmax 8 the search makes 24 nodes: anchor 0 grows one
+        # path to 8 vertices (8 nodes) and bans 1 from {0, 8} (1 node);
+        # anchors 1..7 reach {v, v + 1} and stop (14), anchor 8 stops at {8}
+        monkeypatch.setattr(oracle, "SUBSET_BUDGET", 24)
         assert find_contractible_subgraph(c_n(9), Fraction(5, 4)) is None
-        for budget in (71, 10):
+        for budget in (23, 10):
             monkeypatch.setattr(oracle, "SUBSET_BUDGET", budget)
             with pytest.raises(OracleBudgetError):
                 find_contractible_subgraph(c_n(9), Fraction(5, 4))
+
+    def test_long_cycle_does_not_recurse(self):
+        # kmax is 2000, and anchor 0 grows a 2000-vertex path of which no
+        # set has two ends at every vertex
+        g = c_n(2100)
+        start = time.monotonic()
+        assert find_contractible_subgraph(g, Fraction(1001, 1000)) is None
+        assert time.monotonic() - start < 1
+
+    def test_two_ended_sets_match_filtered_scan(self):
+        # lone vertices, loops and parallel edges, on random vertex labels
+        rng = random.Random(20261019)
+        total = 0
+        for _ in range(300):
+            n = rng.randint(1, 11)
+            g = random_multigraph(rng, n, rng.randint(0, 2 * n + 3))
+            g = relabel(rng, g)
+            kmax = rng.randint(3, 10)
+            far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
+                   for v in g.vertices}
+            want = {w for w in connected_subsets(g, kmax)
+                    if len(w) >= 3 and two_ends_each(w, far)}
+            got = []
+            for v, found in oracle._two_ended_sets(g, far, kmax, None):
+                assert all(min(w) == v for w in found)
+                got += found
+            assert len(got) == len(set(got)) and set(got) == want
+            total += len(got)
+        assert total > 1000
+
+    def test_preorder_key_gives_connected_subsets_order(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            g = random_multigraph(rng, n, rng.randint(0, 2 * n + 3))
+            g = relabel(rng, g)
+            nbrs = {v: g.neighbors(v) for v in g.vertices}
+            sets = list(connected_subsets(g, rng.randint(1, 8)))
+            for v in g.vertices:
+                mine = [w for w in sets if min(w) == v]
+                assert sorted(mine, key=lambda w: oracle._preorder_key(
+                    nbrs, v, w)) == mine
+
+    def test_matches_scan_of_every_connected_set(self, monkeypatch):
+        # the same answer, and the same sets handed to min_2ecss in the
+        # same order, as the scan through the two-ends filter
+        rng = random.Random(1031)
+        calls = []
+        exact = oracle.min_2ecss
+
+        def recording(sub, *args):
+            calls.append(sub.vertices)
+            return exact(sub, *args)
+
+        monkeypatch.setattr(oracle, "min_2ecss", recording)
+        found = 0
+        for _ in range(1000):
+            g = relabel(rng, random_2ec_multigraph(rng, rng.randint(3, 13)))
+            for alpha in (Fraction(5, 4), Fraction(6, 5), Fraction(4, 3),
+                          Fraction(3, 2)):
+                calls.clear()
+                got = find_contractible_subgraph(g, alpha)
+                searched = list(calls)
+                calls.clear()
+                want = contractible_by_scan(g, alpha)
+                assert same_subgraph(got, want) and searched == calls
+                found += want is not None
+        assert found > 1000
 
     def test_time_cap_reaches_search(self):
         g = generate("gnp_2ec", 17, 3, density=0.2)

@@ -53,6 +53,8 @@ def _alpha(text: str) -> Fraction:
 
 
 def _solve_flags(args) -> Dict[str, object]:
+    if args.max_guesses is not None and args.max_guesses < 1:
+        raise ParseError(f"--max-guesses {args.max_guesses} is below 1")
     return dict(alpha=_alpha(args.alpha),
                 seed=args.seed,
                 max_guesses=args.max_guesses,

@@ -2,9 +2,9 @@
 
 The lower-bound object for the solver is a minimum triangle-free 2-edge
 cover containing a guessed tree on 8 vertices. This module enumerates the
-guesses, computes the constrained cover by subdividing the guessed edges,
-massages covers into canonical form, and computes the credit ledger that
-the later merging stages check their moves against.
+guesses, computes the constrained cover with the guessed edges forced into
+`oracle.min_tf2ec`, massages covers into canonical form, and computes the
+credit ledger that the later merging stages check their moves against.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .errors import InternalContradiction
-from .graph import (VIRTUAL_BASE, Edge, Graph, bridges, components,
-                    connected_subsets, hamiltonian_path, is_2ec, two_ec_blocks)
+from .graph import (Graph, bridges, components, connected_subsets,
+                    hamiltonian_path, is_2ec, path_edge_ids, two_ec_blocks)
 from .oracle import min_tf2ec
 
 GUESS_VERTICES = 8
@@ -89,34 +89,15 @@ def initial_cover(g: Graph, f: FrozenSet[int],
                   deadline: Optional[float] = None) -> FrozenSet[int]:
     """Minimum triangle-free 2-edge cover of g containing the guess f.
 
-    Each guessed edge ab is subdivided into a-c-b with a fresh dummy c; the
-    dummy's two edges are forced into any cover by its degree, so the
-    unconstrained minimum of the subdivided graph maps back to the
-    constrained minimum of g.
+    `min_tf2ec` decides the guessed edges before its search and keeps the
+    others in edge-id order, so among the covers containing f it returns
+    the (size, lex)-minimum. The guess is a tree on 8 vertices, so its
+    component is never a triangle.
     """
-    extra_edges: List[Edge] = []
-    dummies: List[int] = []
-    pair_of: Dict[int, int] = {}
-    # the instance may already carry virtual edge ids, so dummy ids must
-    # start strictly above everything present
-    nid = max(VIRTUAL_BASE, 1 + max((e.id for e in g.edges()), default=0))
-    vbase = 1 + max(g.vertices)
-    for k, eid in enumerate(sorted(f)):
-        e = g.edge(eid)
-        c = vbase + k
-        e1 = Edge(nid + 2 * k, e.u, c)
-        e2 = Edge(nid + 2 * k + 1, c, e.v)
-        extra_edges += [e1, e2]
-        dummies.append(c)
-        pair_of[e1.id] = eid
-        pair_of[e2.id] = eid
-    gp = g.without_edges(f).with_edges(extra_edges, dummies)
-    hp = min_tf2ec(gp, deadline=deadline)
-    for e in extra_edges:
-        if e.id not in hp:
-            raise InternalContradiction("dummy edge missing from cover",
-                                        counterexample=g)
-    h = (frozenset(hp) - set(pair_of)) | f
+    h = min_tf2ec(g, f, deadline)
+    if not f <= h:
+        raise InternalContradiction("guessed edge missing from cover",
+                                    counterexample=g)
     return h
 
 
@@ -136,6 +117,11 @@ class CreditLedger:
                 + sum(self.bridge_credits.values(), Fraction(0)))
 
 
+def component_credit(m: int) -> Fraction:
+    """Credit of a 2EC component with m edges."""
+    return Fraction(m, 4) if m < 8 else Fraction(2)
+
+
 def credits(s: Graph) -> CreditLedger:
     """Credit ledger for a 2-edge cover given as its (spanning) subgraph."""
     led = CreditLedger()
@@ -143,10 +129,7 @@ def credits(s: Graph) -> CreditLedger:
         key = comp[0]
         sub = s.induced(comp)
         if is_2ec(sub):
-            if sub.m < 8:
-                led.component_credits[key] = Fraction(sub.m, 4)
-            else:
-                led.component_credits[key] = Fraction(2)
+            led.component_credits[key] = component_credit(sub.m)
         else:
             led.component_credits[key] = Fraction(1)
             dec = two_ec_blocks(sub)
@@ -280,9 +263,7 @@ def _rewire_leaf_block(g: Graph, h: FrozenSet[int]) -> Optional[FrozenSet[int]]:
                              if e.other(v1) not in vs]
                 if not out_edges:
                     continue
-                path_edges = set()
-                for a, b in zip(path, path[1:]):
-                    path_edges.add(min(e.id for e in g.edges_between(a, b)))
+                path_edges = path_edge_ids(g, path)
                 for esc in out_edges:
                     h2 = (h - es) | path_edges | {esc}
                     got = _validated(g, h, frozenset(h2))

@@ -14,17 +14,16 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InternalContradiction
-from .cover import cover_cost, canonical_violations
+from .cover import canonical_violations, component_credit, cover_cost
 from .graph import (ComponentGraph, Edge, FlowNet, Graph, _blocks, _index,
                     component_graph, components, find_cross_matching,
-                    hamiltonian_path, is_2ec, path_avoiding)
+                    hamiltonian_path, is_2ec, path_avoiding, path_edge_ids)
 
 
 @dataclass(frozen=True)
 class GlueMove:
     added: FrozenSet[int]
     removed: FrozenSet[int]
-    merged_components: Tuple[int, ...]
     cost_delta: Fraction
     rule: str
 
@@ -34,7 +33,6 @@ class GlueContext:
     g: Graph
     s: FrozenSet[int]
     ghat: ComponentGraph
-    edge: Dict[int, Edge]                  # original edge id -> Edge of g
     comp_edges: Dict[int, FrozenSet[int]]  # component rep -> cover edge ids
     blocks: List[FrozenSet[int]]           # 2VC blocks of the contraction
     anchor: int                            # rep of the chosen large component
@@ -46,12 +44,6 @@ class GlueContext:
 
     def comp_size(self, rep: int) -> int:
         return len(self.comp_edges[rep])
-
-
-def _dump(g: Graph, s: Iterable[int]) -> Dict[str, object]:
-    return {"n": g.n,
-            "edges": [(e.id, e.u, e.v) for e in g.edges()],
-            "cover": sorted(s)}
 
 
 def _blocks_of(h: Graph) -> List[FrozenSet[int]]:
@@ -72,11 +64,10 @@ def build_context(g: Graph, s: FrozenSet[int]) -> GlueContext:
     large = sorted(r for r in comp_edges if len(comp_edges[r]) >= 8)
     if not large:
         raise InternalContradiction("no large component to anchor the merge",
-                                    _dump(g, s))
+                                    g)
     cand = [b for b in blocks if any(r in b for r in large)]
     if not cand:
-        raise InternalContradiction("large components sit in no block",
-                                    _dump(g, s))
+        raise InternalContradiction("large components sit in no block", g)
     block = min(cand, key=min)
     anchor = min(r for r in large if r in block)
     in_blocks: Dict[int, int] = {r: 0 for r in comp_edges}
@@ -84,9 +75,7 @@ def build_context(g: Graph, s: FrozenSet[int]) -> GlueContext:
         for r in b:
             in_blocks[r] += 1
     local = {r: in_blocks[r] <= 1 for r in comp_edges}
-    edge = {e.id: e for e in g.edges()}
-    return GlueContext(g, s, ghat, edge, comp_edges, blocks,
-                       anchor, block, local)
+    return GlueContext(g, s, ghat, comp_edges, blocks, anchor, block, local)
 
 
 # -- matching and cycle searches -------------------------------------------
@@ -104,8 +93,7 @@ def local_3_matching(ctx: GlueContext, block: FrozenSet[int],
         tgt.update(ctx.comp_vertices(rep))
     got = find_cross_matching(ctx.g, sorted(v1), sorted(v2), 3)
     if got is None:
-        raise InternalContradiction("cross matching of size 3 missing",
-                                    _dump(ctx.g, ctx.s))
+        raise InternalContradiction("cross matching of size 3 missing", ctx.g)
     return got
 
 
@@ -217,7 +205,7 @@ def _anchored_cycle(ctx: GlueContext, r1: int, r2: int,
 def _cycle_comps(ctx: GlueContext, ids: Iterable[int]) -> List[int]:
     reps: Set[int] = set()
     for i in ids:
-        e = ctx.edge[i]
+        e = ctx.g.edge(i)
         reps.add(ctx.ghat.node_of(e.u))
         reps.add(ctx.ghat.node_of(e.v))
     return sorted(reps)
@@ -227,7 +215,7 @@ def _attachments(ctx: GlueContext, ids: Iterable[int], rep: int) -> List[int]:
     """Vertices of component rep the cycle attaches at (with multiplicity)."""
     out = []
     for i in sorted(ids):
-        e = ctx.edge[i]
+        e = ctx.g.edge(i)
         for x in (e.u, e.v):
             if ctx.ghat.node_of(x) == rep and ctx.ghat.node_of(e.other(x)) != rep:
                 out.append(x)
@@ -237,20 +225,15 @@ def _attachments(ctx: GlueContext, ids: Iterable[int], rep: int) -> List[int]:
 def _cycle_edge_between(ctx: GlueContext, ids: Iterable[int],
                         ra: int, rb: int) -> Optional[int]:
     for i in sorted(ids):
-        e = ctx.edge[i]
+        e = ctx.g.edge(i)
         if {ctx.ghat.node_of(e.u), ctx.ghat.node_of(e.v)} == {ra, rb}:
             return i
     return None
 
 
-def _comp_credit(ctx: GlueContext, rep: int) -> Fraction:
-    m = ctx.comp_size(rep)
-    return Fraction(2) if m >= 8 else Fraction(m, 4)
-
-
 def _cycle_credits(ctx: GlueContext, ids: Iterable[int]) -> Fraction:
-    return sum((_comp_credit(ctx, r) for r in _cycle_comps(ctx, ids)),
-               Fraction(0))
+    return sum((component_credit(ctx.comp_size(r))
+                for r in _cycle_comps(ctx, ids)), Fraction(0))
 
 
 def _extend_cycle(ctx: GlueContext, ids: List[int], block: FrozenSet[int],
@@ -365,13 +348,6 @@ def shortcut_edge(f: Graph, cycle_ids: Iterable[int],
     return None
 
 
-def _ham_path_edges(g: Graph, path: Sequence[int]) -> Set[int]:
-    out: Set[int] = set()
-    for a, b in zip(path, path[1:]):
-        out.add(min(e.id for e in g.edges_between(a, b)))
-    return out
-
-
 def _delete_from_component(ctx: GlueContext, s2: Set[int], c1: int,
                            pairs: Sequence[Tuple[int, int]]) -> int:
     """Pick a deletable edge of the (former) cycle component c1 inside the
@@ -390,54 +366,40 @@ def _delete_from_component(ctx: GlueContext, s2: Set[int], c1: int,
                 prefer.append(e.id)
     eid = shortcut_edge(f, cyc, prefer)
     if eid is None:
-        raise InternalContradiction("no deletable cycle edge after merge",
-                                    _dump(g, s2))
+        raise InternalContradiction("no deletable cycle edge after merge", g)
     return eid
 
 
 # -- move assembly ---------------------------------------------------------
 
 
-def _commit(ctx: GlueContext, new_edges: Set[int], rule: str,
-            min_delta: Fraction = Fraction(0)) -> Tuple[FrozenSet[int], GlueMove]:
+def _commit(ctx: GlueContext, new_edges: Set[int], rule: str
+            ) -> Tuple[FrozenSet[int], GlueMove]:
     g, s = ctx.g, ctx.s
     new_s = frozenset(new_edges)
     added = new_s - s
     removed = s - new_s
-    if any(i not in ctx.edge for i in added):
-        raise InternalContradiction("merge added unknown edges", _dump(g, s))
+    if not all(g.has_edge(i) for i in added):
+        raise InternalContradiction("merge added unknown edges", g)
     old_comps = components(g.spanning(s))
     new_comps = components(g.spanning(new_s))
     if len(new_comps) >= len(old_comps):
         raise InternalContradiction(
-            "merge rule %s did not reduce the component count" % rule,
-            _dump(g, new_s))
+            "merge rule %s did not reduce the component count" % rule, g)
     sub = g.spanning(new_s)
     for comp in new_comps:
         if not is_2ec(sub.induced(comp)):
             raise InternalContradiction(
-                "merge rule %s left a non-2EC component" % rule,
-                _dump(g, new_s))
+                "merge rule %s left a non-2EC component" % rule, g)
     bad = canonical_violations(g, new_s)
     if bad:
         raise InternalContradiction(
-            "merge rule %s broke cover shape: %r" % (rule, bad),
-            _dump(g, new_s))
+            "merge rule %s broke cover shape: %r" % (rule, bad), g)
     delta = cover_cost(g, s) - cover_cost(g, new_s)
-    if delta < min_delta:
+    if delta < 0:
         raise InternalContradiction(
-            "merge rule %s raised the cost (delta %s)" % (rule, delta),
-            _dump(g, new_s))
-    vmap = {}
-    for comp in new_comps:
-        for v in comp:
-            vmap[v] = comp[0]
-    groups: Dict[int, List[int]] = {}
-    for rep in ctx.comp_edges:
-        groups.setdefault(vmap[rep], []).append(rep)
-    merged = tuple(sorted(r for g2 in groups.values() if len(g2) > 1
-                          for r in g2))
-    return new_s, GlueMove(added, removed, merged, delta, rule)
+            "merge rule %s raised the cost (delta %s)" % (rule, delta), g)
+    return new_s, GlueMove(added, removed, delta, rule)
 
 
 # -- the individual merge rules --------------------------------------------
@@ -458,7 +420,7 @@ def glue_adjacent(ctx: GlueContext, c1: int, c2: int, u1: int, v1: int,
             return None
         fids |= {e.id for e in link}
     new = (set(ctx.s) - ctx.comp_edges[c1]) | fids \
-        | _ham_path_edges(ctx.g, path)
+        | path_edge_ids(ctx.g, path)
     return _commit(ctx, new, "adjacent_merge")
 
 
@@ -492,11 +454,10 @@ def glue_c4_local_c5(ctx: GlueContext, c1: int):
     got = shortcut_c4_local_c5(ctx, c1, ctx.anchor, ctx.block)
     if got is None:
         raise InternalContradiction(
-            "short cycle component admits no pair-anchored merge cycle",
-            _dump(ctx.g, ctx.s))
+            "short cycle component admits no pair-anchored merge cycle", ctx.g)
     ids, _u1, _v1, path = got
     new = (set(ctx.s) - ctx.comp_edges[c1]) | set(ids) \
-        | _ham_path_edges(ctx.g, path)
+        | path_edge_ids(ctx.g, path)
     return _commit(ctx, new, "short_cycle_merge")
 
 
@@ -507,7 +468,7 @@ def _second_block(ctx: GlueContext, c1: int,
             and (must_contain is None or must_contain in b)]
     if not cand:
         raise InternalContradiction(
-            "component lacks the expected second block", _dump(ctx.g, ctx.s))
+            "component lacks the expected second block", ctx.g)
     return min(cand, key=min)
 
 
@@ -536,8 +497,7 @@ def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
                  if (e.u if e.u in vs1 else e.v) not in (u1, v1)]
         if not spare:
             raise InternalContradiction(
-                "second-block matching pinned to the first cycle",
-                _dump(g, ctx.s))
+                "second-block matching pinned to the first cycle", g)
         me = spare[0]
     w1 = me.u if me.u in vs1 else me.v
     c1p = ctx.ghat.node_of(me.other(w1))
@@ -546,17 +506,16 @@ def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
         got = shortcut_c4_local_c5(ctx, c1p, c1, bprime, c2_gate=gate)
         if got is None:
             raise InternalContradiction(
-                "4-cycle in second block admits no merge cycle",
-                _dump(g, ctx.s))
+                "4-cycle in second block admits no merge cycle", g)
         ids, _p, _q, path = got
         s2 = (set(ctx.s) - ctx.comp_edges[c1p]) | fids | set(ids) \
-            | _ham_path_edges(g, path)
+            | path_edge_ids(g, path)
         atts = [a for a in _attachments(ctx, ids, c1)]
     else:
         got = _anchored_cycle(ctx, c1, c1p, gate1=gate, allowed=bprime)
         if got is None:
             raise InternalContradiction(
-                "second block admits no anchored cycle", _dump(g, ctx.s))
+                "second block admits no anchored cycle", g)
         ids = got[0]
         if len(_cycle_comps(ctx, ids)) < min(3, len(bprime)):
             grown = _extend_cycle(ctx, ids, bprime, 3)
@@ -568,7 +527,7 @@ def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
         atts = _attachments(ctx, ids, c1)
     if len(atts) != 2 or atts[0] == atts[1]:
         raise InternalContradiction(
-            "second cycle attaches at a single vertex", _dump(g, ctx.s))
+            "second cycle attaches at a single vertex", g)
     eid = _delete_from_component(ctx, s2, c1,
                                  [(u1, v1), (atts[0], atts[1])])
     return _commit(ctx, s2 - {eid}, rule)
@@ -584,8 +543,7 @@ def _reroute_distinct(ctx: GlueContext, fids: List[int], c1: int, u1: int):
         other.update(ctx.comp_vertices(rep))
     m3 = find_cross_matching(g, sorted(vs1), sorted(other), 3, require=u1)
     if m3 is None:
-        raise InternalContradiction("pin-breaking matching missing",
-                                    _dump(g, ctx.s))
+        raise InternalContradiction("pin-breaking matching missing", g)
     nodes = set(_cycle_comps(ctx, fids))
     nbrs = sorted(r for r in nodes - {c1}
                   if _cycle_edge_between(ctx, fids, c1, r) is not None)
@@ -624,8 +582,7 @@ def _reroute_distinct(ctx: GlueContext, fids: List[int], c1: int, u1: int):
         if len(atts) == 2 and atts[0] != atts[1] \
                 and len(_cycle_comps(ctx, nids)) >= 4:
             return nids, atts[0], atts[1]
-    raise InternalContradiction("could not unpin the merge cycle",
-                                _dump(g, ctx.s))
+    raise InternalContradiction("could not unpin the merge cycle", g)
 
 
 def _arc_keeping(ctx: GlueContext, fids: List[int], start: int, end: int,
@@ -662,7 +619,7 @@ def _arc_keeping(ctx: GlueContext, fids: List[int], start: int, end: int,
 def _cycle_sequence(ctx: GlueContext, fids: List[int]) -> Optional[List[int]]:
     adj: Dict[int, List[int]] = {}
     for i in fids:
-        e = ctx.edge[i]
+        e = ctx.g.edge(i)
         a, b = ctx.ghat.node_of(e.u), ctx.ghat.node_of(e.v)
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
@@ -691,18 +648,17 @@ def glue_nonlocal_c5(ctx: GlueContext, c1: int):
     C = ctx.anchor
     if len(B) == 2:
         raise InternalContradiction(
-            "5-cycle alone in the anchor block survived the adjacency scan",
-            _dump(g, ctx.s))
+            "5-cycle alone in the anchor block survived the adjacency scan", g)
     if len(B) == 3:
         c2 = next(iter(B - {c1, C}))
         if ctx.comp_size(c2) == 5:
             raise InternalContradiction(
                 "two 5-cycles in a 3-component block survived the "
-                "adjacency scan", _dump(g, ctx.s))
+                "adjacency scan", g)
         got = cycle_size3(ctx, c1, C, B)
         if got is None:
             raise InternalContradiction(
-                "no anchored cycle in a 3-component block", _dump(g, ctx.s))
+                "no anchored cycle in a 3-component block", g)
         ids, (u1, v1) = got
         fl = len(ids)
         creds = _cycle_credits(ctx, ids)
@@ -710,15 +666,14 @@ def glue_nonlocal_c5(ctx: GlueContext, c1: int):
             return _commit(ctx, set(ctx.s) | set(ids), "cycle_merge")
         if u1 == v1 or creds < fl + Fraction(7, 4):
             raise InternalContradiction(
-                "3-component block cycle pays too little", _dump(g, ctx.s))
+                "3-component block cycle pays too little", g)
         return _pendant_finish(ctx, c1, set(ids), u1, v1,
                                ctx.comp_vertices(c1) - {u1, v1},
                                "pendant_5cycle_merge")
     # four or more components in the block
     got = _anchored_cycle(ctx, c1, C, allowed=B)
     if got is None:
-        raise InternalContradiction("no cycle through anchor and 5-cycle",
-                                    _dump(g, ctx.s))
+        raise InternalContradiction("no cycle through anchor and 5-cycle", g)
     ids = got[0]
     ids = _extend_cycle(ctx, ids, B, 4)
     creds = _cycle_credits(ctx, ids)
@@ -734,8 +689,7 @@ def glue_nonlocal_c5(ctx: GlueContext, c1: int):
         ids, u1, v1 = _reroute_distinct(ctx, list(ids), c1, pin)
         creds = _cycle_credits(ctx, ids)
         if creds < len(ids) + Fraction(7, 4):
-            raise InternalContradiction("rerouted cycle pays too little",
-                                        _dump(g, ctx.s))
+            raise InternalContradiction("rerouted cycle pays too little", g)
     return _pendant_finish(ctx, c1, set(ids), u1, v1,
                            ctx.comp_vertices(c1) - {u1, v1},
                            "pendant_5cycle_merge")
@@ -751,7 +705,7 @@ def _cycle_order(ctx: GlueContext, c1: int) -> List[int]:
         nxt = [w for w in sub.neighbors(cur) if w != prev]
         if not nxt:
             raise InternalContradiction("component is not a simple cycle",
-                                        _dump(ctx.g, ctx.s))
+                                        ctx.g)
         order.append(min(nxt) if prev is None else nxt[0])
         prev = cur
     return order
@@ -792,8 +746,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
     for a, b in ((trio[0], trio[1]), (trio[0], trio[2]), (trio[1], trio[2])):
         if (pos[a] - pos[b]) % m1 in (1, m1 - 1):
             raise InternalContradiction(
-                "cycle-adjacent matched pair survived the adjacency scan",
-                _dump(g, ctx.s))
+                "cycle-adjacent matched pair survived the adjacency scan", g)
 
     # escape vertex: off the matched trio, with an edge leaving the block
     escape = None
@@ -808,8 +761,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
             break
     if escape is None:
         raise InternalContradiction(
-            "6/7-cycle has no escape edge off the matched trio",
-            _dump(g, ctx.s))
+            "6/7-cycle has no escape edge off the matched trio", g)
     x1, xe, xrep = escape
     lab = None
     for a, b in ((trio[0], trio[1]), (trio[0], trio[2]),
@@ -820,8 +772,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
             break
     if lab is None:
         raise InternalContradiction(
-            "escape vertex misses every shortest matched arc",
-            _dump(g, ctx.s))
+            "escape vertex misses every shortest matched arc", g)
     u1, v1 = lab
     w1 = next(t for t in trio if t not in (u1, v1))
     fids = {by_vertex[u1].id, by_vertex[v1].id}
@@ -835,11 +786,10 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
                                    c2_gate=(interior, vs1))
         if got is None:
             raise InternalContradiction(
-                "4-cycle in the second block admits no merge cycle",
-                _dump(g, ctx.s))
+                "4-cycle in the second block admits no merge cycle", g)
         ids, _p, _q, path = got
         s2 = (set(ctx.s) - ctx.comp_edges[c2]) | fids | set(ids) \
-            | _ham_path_edges(g, path)
+            | path_edge_ids(g, path)
         atts = _attachments(ctx, ids, c1)
         eid = _delete_from_component(ctx, s2, c1,
                                      [(u1, v1), (atts[0], atts[1])])
@@ -849,7 +799,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
                           allowed=bprime)
     if got is None:
         raise InternalContradiction(
-            "second block admits no anchored cycle", _dump(g, ctx.s))
+            "second block admits no anchored cycle", g)
     ids, _, _ = got
     if len(_cycle_comps(ctx, ids)) < min(3, len(bprime)):
         grown = _extend_cycle(ctx, ids, bprime, 3)
@@ -857,7 +807,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
         if len(gat) == 2 and gat[0] != gat[1] \
                 and (gat[0] in interior or gat[1] in interior):
             ids = grown
-    bound = _comp_credit(ctx, c1) + _comp_credit(ctx, c2) \
+    bound = component_credit(m1) + component_credit(ctx.comp_size(c2)) \
         + Fraction(len(ids), 4) - Fraction(14, 4)
     if bound >= 0:
         s2 = set(ctx.s) | fids | set(ids)
@@ -871,15 +821,13 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
     if not (m1 == 6 and ctx.comp_size(c2) == 5 and len(ids) == 2
             and bprime == frozenset({c1, c2})):
         raise InternalContradiction(
-            "under-paying two-block merge outside the degenerate shape",
-            _dump(g, ctx.s))
+            "under-paying two-block merge outside the degenerate shape", g)
     rot = order[pos[u1]:] + order[:pos[u1]]
     if rot[1] != x1:
         rot = [rot[0]] + rot[1:][::-1]
     a = [None] + rot
     if a[3] != v1 or a[5] != w1 or a[2] != x1:
-        raise InternalContradiction("6-cycle labelling out of shape",
-                                    _dump(g, ctx.s))
+        raise InternalContradiction("6-cycle labelling out of shape", g)
     vs2 = ctx.comp_vertices(c2)
     e_b1 = min((e for e in g.incident(x1) if e.other(x1) in vs2),
                key=lambda e: e.id)
@@ -924,8 +872,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
                 break
         if pick is None:
             raise InternalContradiction(
-                "no matched cross pair into the pendant 5-cycle",
-                _dump(g, ctx.s))
+                "no matched cross pair into the pendant 5-cycle", g)
         ex, b, bp, e_far = pick
         afar = e_far.u if e_far.u in vs1 else e_far.v
         bb = min(e.id for e in csub.edges_between(b, bp))
@@ -945,8 +892,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
             break
     if third is None or ctx.comp_size(third) != 5:
         raise InternalContradiction(
-            "missing second pendant 5-cycle in the degenerate shape",
-            _dump(g, ctx.s))
+            "missing second pendant 5-cycle in the degenerate shape", g)
     gone: Set[int] = set()
     take: Set[int] = set()
     for rep in (c2, third):
@@ -963,8 +909,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
                 break
         if not found:
             raise InternalContradiction(
-                "pendant 5-cycle lacks an adjacent attached pair",
-                _dump(g, ctx.s))
+                "pendant 5-cycle lacks an adjacent attached pair", g)
     s2 = (set(ctx.s) - gone) | take
     return _commit(ctx, s2, "pendant_pair_rewire")
 
@@ -991,23 +936,20 @@ def glue_step(g: Graph, s: FrozenSet[int]) -> Tuple[FrozenSet[int], GlueMove]:
         c1 = next(iter(B - {C}))
         if ctx.comp_size(c1) < 6:
             raise InternalContradiction(
-                "short component in a 2-component block fell through",
-                _dump(g, s))
+                "short component in a 2-component block fell through", g)
         return glue_c6_c7(ctx, c1)
     if any(ctx.comp_size(r) < 6 for r in B):
         raise InternalContradiction(
-            "short component fell through every merge rule", _dump(g, s))
+            "short component fell through every merge rule", g)
     c2 = min(B - {C})
     got = _anchored_cycle(ctx, c2, C, allowed=B)
     if got is None:
-        raise InternalContradiction("block admits no cycle through anchor",
-                                    _dump(g, s))
+        raise InternalContradiction("block admits no cycle through anchor", g)
     ids = got[0]
     if len(_cycle_comps(ctx, ids)) < min(3, len(B)):
         ids = _extend_cycle(ctx, ids, B, 3)
     if len(_cycle_comps(ctx, ids)) < 3:
-        raise InternalContradiction("anchor cycle stuck below 3 components",
-                                    _dump(g, s))
+        raise InternalContradiction("anchor cycle stuck below 3 components", g)
     return _commit(ctx, set(s) | set(ids), "cycle_merge")
 
 
@@ -1021,19 +963,16 @@ def glue_all(g: Graph, s: FrozenSet[int]
     while ncomp > 1:
         budget -= 1
         if budget <= 0:
-            raise InternalContradiction("merging stalled", _dump(g, cur))
+            raise InternalContradiction("merging stalled", g)
         cur, move = glue_step(g, cur)
         moves.append(move)
         nxt = len(components(g.spanning(cur)))
         if nxt >= ncomp:
-            raise InternalContradiction("merge did not reduce components",
-                                        _dump(g, cur))
+            raise InternalContradiction("merge did not reduce components", g)
         ncomp = nxt
     sub = g.spanning(cur)
     if sub.n != g.n or not is_2ec(sub):
-        raise InternalContradiction("final subgraph is not spanning 2EC",
-                                    _dump(g, cur))
+        raise InternalContradiction("final subgraph is not spanning 2EC", g)
     if Fraction(len(cur)) != cover_cost(g, cur) - 2:
-        raise InternalContradiction("final size/cost identity broken",
-                                    _dump(g, cur))
+        raise InternalContradiction("final size/cost identity broken", g)
     return cur, moves

@@ -537,6 +537,12 @@ def hamiltonian_path(g: Graph, w: Iterable[int], u: int, v: int) -> Optional[Lis
     return [ws[i] for i in path]
 
 
+def path_edge_ids(g: Graph, path: Sequence[int]) -> Set[int]:
+    """The smallest-id edge between each two consecutive vertices of path."""
+    return {min(e.id for e in g.edges_between(a, b))
+            for a, b in zip(path, path[1:])}
+
+
 def find_cross_matching(g: Graph, v1: Iterable[int], v2: Iterable[int],
                         k: int, require: Optional[int] = None) -> Optional[List[Edge]]:
     """A matching of size >= k among g-edges between v1 and v2, or None.

@@ -96,12 +96,15 @@ FAMILIES = ("gnp_2ec", "hamiltonian_plus_chords", "cycle_of_cliques",
 
 
 def _graph(n: int, pairs: Iterable[Tuple[int, int]]) -> Graph:
-    uniq = sorted(set((min(u, v), max(u, v)) for u, v in pairs))
+    """The simple graph on 0..n-1: loops dropped, repeated pairs merged."""
+    uniq = sorted(set((min(u, v), max(u, v)) for u, v in pairs if u != v))
     return Graph(range(n), [Edge(i, u, v) for i, (u, v) in enumerate(uniq)])
 
 
 def gen_gnp_2ec(n: int, density: float, seed: int,
                 max_tries: int = 5000) -> Graph:
+    if n < 1:
+        raise InfeasibleError("gnp_2ec needs n >= 1")
     rng = random.Random(seed)
     for _ in range(max_tries):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -113,6 +116,8 @@ def gen_gnp_2ec(n: int, density: float, seed: int,
 
 
 def gen_hamiltonian_plus_chords(n: int, chords: int, seed: int) -> Graph:
+    if n < 2:
+        raise InfeasibleError("hamiltonian_plus_chords needs n >= 2")
     rng = random.Random(seed)
     pairs = [(i, (i + 1) % n) for i in range(n)]
     have = set((min(u, v), max(u, v)) for u, v in pairs)
@@ -128,6 +133,8 @@ def gen_hamiltonian_plus_chords(n: int, chords: int, seed: int) -> Graph:
 
 
 def gen_cycle_of_cliques(n: int, seed: int, clique: int = 4) -> Graph:
+    if n < 3:
+        raise InfeasibleError("cycle_of_cliques needs n >= 3")
     rng = random.Random(seed)
     k = max(3, n // clique)
     groups = [list(range(i * clique, min((i + 1) * clique, n)))
@@ -174,6 +181,8 @@ def gen_structured_stress(n: int, seed: int) -> Graph:
     Rich in 4/5/6-cycle components under minimum covers, which is what the
     gluing case analysis has to untangle.
     """
+    if n < 8:
+        raise InfeasibleError("structured_stress needs n >= 8")
     rng = random.Random(seed)
     core = max(8, n // 3)
     pairs = [(i, (i + 1) % core) for i in range(core)]

@@ -302,7 +302,11 @@ def min_tf2ec(g: Graph, forced: Iterable[int] = (),
     smallest sorted edge-id list. Raises ValueError when no such cover
     exists, OracleTimeout past `deadline`.
 
-    `_deepen` without `connected`, with a triangle test at the leaves.
+    `_deepen` without `connected`, with a triangle test at the leaves. The
+    forced edges are decided before the search and the others keep their
+    ascending order, so the answer is the (size, lex)-minimum among the
+    covers containing `forced`; `cover.initial_cover` forces the guess of
+    the structured solver this way.
     """
     arr = _EdgeArrays(g)
     nb = arr.nb

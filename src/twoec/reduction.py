@@ -36,10 +36,9 @@ class CutPartition:
 
 @dataclass
 class ReductionTrace:
-    """The names of the rules that fired, in order, and the graphs handed
-    to the structured solver."""
+    """The names of the rules that fired, in order; `dispatch_alg` marks a
+    graph handed to the structured solver."""
     steps: List[str] = field(default_factory=list)
-    dispatched: List[Graph] = field(default_factory=list)
 
 
 def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = None,
@@ -137,7 +136,6 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
             raise InternalContradiction(
                 "structured instance but no solver given", counterexample=g)
         trace.steps.append("dispatch_alg")
-        trace.dispatched.append(g)
         sol = alg(g)
         if not is_2ec(g.spanning(sol)):
             raise InternalContradiction("structured solver output not 2EC",

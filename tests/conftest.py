@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -54,3 +56,14 @@ def small_graphs(draw):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def structured_shapes():
+    """The graphs of the benchmark's `structured_dispatch` workload by shape
+    name: cubic 3-vertex-connected graphs that `solve` dispatches whole."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {s.name: s.build() for s in mod.WORKLOADS["structured_dispatch"]}

@@ -7,6 +7,11 @@ outputs directly, so the tests can check the solver against them:
   handed to the structured solver must meet.
 - `max_tf2matching` and `check_cover_matching_identity`: the duality
   between triangle-free 2-edge covers and triangle-free 2-matchings.
+- `subdivided_cover`: the minimum triangle-free 2-edge cover containing a
+  guess, computed by subdividing each guessed edge with a dummy vertex of
+  degree 2 and covering the subdivided graph unconstrained; the solver's
+  `cover.initial_cover` forces the guess inside `min_tf2ec` and must
+  return the same edge set.
 - `is_alpha_contractible`: the definition of an alpha-contractible
   subgraph, tested on one given subgraph.
 - `contractible_by_scan` and `two_ends_each`: the contractibility search
@@ -42,9 +47,9 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 from twoec import oracle
 from twoec.bridge_cover import TcTree, _reach_paths
 from twoec.errors import InfeasibleError
-from twoec.graph import (BlockDecomposition, Edge, Graph, components,
-                         connected_subsets, cut_vertices, find_irrelevant_edge,
-                         is_2ec, is_2vc)
+from twoec.graph import (VIRTUAL_BASE, BlockDecomposition, Edge, Graph,
+                         components, connected_subsets, cut_vertices,
+                         find_irrelevant_edge, is_2ec, is_2vc)
 from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
 from twoec.oracle import (_below, _Certificates, _EdgeArrays, _with_uv,
                           find_contractible_subgraph, min_inner_edges,
@@ -154,6 +159,30 @@ def check_cover_matching_identity(g: Graph) -> bool:
     h = min_tf2ec(g)
     m = max_tf2matching(g)
     return len(h) == 2 * g.n - len(m)
+
+
+def subdivided_cover(g: Graph, f: FrozenSet[int]) -> FrozenSet[int]:
+    """Minimum triangle-free 2-edge cover of g containing the guess f.
+
+    Each guessed edge ab is subdivided into a-c-b with a fresh dummy c; the
+    dummy's two edges are forced into any cover by its degree, so the
+    unconstrained minimum of the subdivided graph maps back to the
+    constrained minimum of g.
+    """
+    # the instance may already carry virtual edge ids, so dummy ids must
+    # start strictly above everything present
+    nid = max(VIRTUAL_BASE, 1 + max((e.id for e in g.edges()), default=0))
+    vbase = 1 + max(g.vertices)
+    extra: List[Edge] = []
+    for k, eid in enumerate(sorted(f)):
+        e = g.edge(eid)
+        c = vbase + k
+        extra += [Edge(nid + 2 * k, e.u, c), Edge(nid + 2 * k + 1, c, e.v)]
+    gp = g.without_edges(f).with_edges(extra, range(vbase, vbase + len(f)))
+    hp = min_tf2ec(gp)
+    dummy = {e.id for e in extra}
+    assert dummy <= hp, "dummy edge missing from cover"
+    return (hp - dummy) | f
 
 
 # -- contractibility -------------------------------------------------------

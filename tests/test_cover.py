@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -6,9 +7,9 @@ from twoec.cover import (canonical_violations, canonicalize, cost,
                          cover_cost, credits, enumerate_guesses,
                          initial_cover, is_tf2ec)
 from twoec.graph import Graph, components, is_2ec
-from twoec.oracle import min_tf2ec
 
 from conftest import gnp_2ec, random_2ec_graph
+from reference import subdivided_cover
 
 
 def cycle(n, offset=0):
@@ -52,14 +53,19 @@ class TestInitialCover:
         h = initial_cover(g, f)
         assert h == frozenset(range(8))
 
-    def test_matches_forced_oracle(self, rng):
-        for _ in range(10):
-            g = random_2ec_graph(rng, rng.randint(8, 11))
-            f = next(iter(enumerate_guesses(g)))
-            h = initial_cover(g, f)
-            assert f <= h
-            assert is_tf2ec(g, h)
-            assert len(h) == len(min_tf2ec(g, forced=f))
+    def test_matches_forced_oracle(self, rng, structured_shapes):
+        # forcing the guess inside min_tf2ec gives the cover that subdividing
+        # the guessed edges gives, with no guess and with the first guesses
+        # of the structured shapes and of random graphs
+        graphs = list(structured_shapes.values())
+        graphs += [random_2ec_graph(rng, rng.randint(8, 11))
+                   for _ in range(10)]
+        for g in graphs:
+            for f in [frozenset()] + list(islice(enumerate_guesses(g), 10)):
+                h = initial_cover(g, f)
+                assert f <= h
+                assert is_tf2ec(g, h)
+                assert h == subdivided_cover(g, f)
 
     def test_guess_lands_in_big_component(self, rng):
         g = random_2ec_graph(rng, 12)

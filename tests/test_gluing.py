@@ -210,8 +210,9 @@ class TestDegenerateSixCycle:
         assert move.rule == "pendant_pair_rewire"
         assert move.cost_delta == 0
         # the three short cycles merge; the anchor stays separate this move
-        assert len(components(g.spanning(new_s))) == 2
-        assert 0 not in move.merged_components
+        comps = components(g.spanning(new_s))
+        assert len(comps) == 2
+        assert set(range(8)) in [set(c) for c in comps]
         final, moves = glue_all(g, s)
         assert len(components(g.spanning(final))) == 1
         assert cover_cost(g, final) <= cover_cost(g, s)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoec import cli, harness, oracle
+from twoec import cli, gluing, harness, oracle
 from twoec.cli import main
 from twoec.errors import (InfeasibleError, InternalContradiction,
                           OracleTimeout, ParseError)
@@ -60,6 +60,19 @@ class TestGenerators:
             assert is_2ec(g)
             keys = [(min(e.u, e.v), max(e.u, e.v)) for e in g.edges()]
             assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_small_sizes_parse_or_raise(self, family):
+        # a size the family cannot build raises InfeasibleError; every
+        # instance it does build parses back, so none carries a loop
+        for n in range(1, 9):
+            for seed in (0, 1, 2):
+                try:
+                    g = generate(family, n, seed)
+                except InfeasibleError:
+                    continue
+                text = format_instance(g)
+                assert format_instance(parse_instance(text)) == text
 
     def test_deterministic_for_seed(self):
         a = gen_gnp_2ec(14, 0.3, 7)
@@ -194,6 +207,21 @@ class TestSolve:
         assert {"brute_force", "contract", "two_cut_type_AB"} <= steps
         assert seen == {deadline}
 
+    @pytest.mark.parametrize("flags,want", [
+        ({}, (2, True, 23)),
+        ({"max_guesses": 1}, (1, False, 26)),
+        ({"first_feasible": True}, (1, False, 26)),
+    ])
+    def test_guess_limits(self, structured_shapes, flags, want):
+        # the ring 4.5.5.4.4 is dispatched whole and certifies its solution
+        # at the second guess; stopping at the first keeps a larger,
+        # uncertified one
+        g = structured_shapes["ring-4.5.5.4.4-s1"]
+        sol, report = solve(g, **flags)
+        got = (report["guesses_tried"], report["certified"], report["size"])
+        assert got == want
+        assert verify(g, sol)["status"] == "OK"
+
     def test_passed_deadline_raises(self):
         with pytest.raises(OracleTimeout):
             solve(generate("structured_stress", 40, 40),
@@ -223,6 +251,28 @@ class TestCli:
         assert head == "internal: structured solver output not 2EC"
         bad = parse_instance(text)
         assert (bad.n, bad.m) == (18, 27)
+        monkeypatch.undo()
+        replay = tmp_path / "replay.txt"
+        replay.write_text(text)
+        code, _, err = self.run(["solve", str(replay)], capsys)
+        assert code == 0, err
+
+    def test_gluing_counterexample_replays(self, tmp_path, capsys,
+                                           monkeypatch, structured_shapes):
+        # the ring 4.5.5.4.4 is dispatched whole and glued; a move that
+        # fails its shape check raises, and stderr carries the glued graph
+        # as an instance file
+        ring = structured_shapes["ring-4.5.5.4.4-s1"]
+        inst = tmp_path / "ring.txt"
+        inst.write_text(format_instance(ring))
+        monkeypatch.setattr(gluing, "canonical_violations",
+                            lambda g, s: [("patched", None)])
+        code, _, err = self.run(["solve", str(inst)], capsys)
+        assert code == 4
+        head, text = err.split("\n", 1)
+        assert head.startswith("internal: merge rule adjacent_merge broke")
+        bad = parse_instance(text)
+        assert (bad.n, bad.m) == (22, 33)
         monkeypatch.undo()
         replay = tmp_path / "replay.txt"
         replay.write_text(text)
@@ -292,6 +342,38 @@ class TestCli:
                                 capsys)
         assert code == 3
         assert err.startswith("parse error: --alpha") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_bad_max_guesses_exit_code(self, tmp_path, capsys,
+                                       structured_shapes, k):
+        # no guess at all would report the feasible ring as infeasible
+        ring = structured_shapes["ring-4.5.5.4.4-s1"]
+        inst = tmp_path / "ring.txt"
+        inst.write_text(format_instance(ring))
+        code, _, err = self.run(["solve", str(inst), "--max-guesses", k],
+                                capsys)
+        assert code == 3
+        assert err == f"parse error: --max-guesses {k} is below 1\n"
+
+    @pytest.mark.parametrize("family,n", [
+        ("hamiltonian_plus_chords", 1), ("cycle_of_cliques", 1),
+        ("cycle_of_cliques", 2), ("structured_stress", 7)])
+    def test_gen_too_small_exit_code(self, tmp_path, capsys, family, n):
+        out = tmp_path / "i.txt"
+        code, _, err = self.run(["gen", family, "--n", str(n),
+                                 "--out", str(out)], capsys)
+        assert code == 2 and not out.exists()
+        assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+    def test_gen_cycle_of_cliques_n3_solves(self, tmp_path, capsys):
+        # one clique: its ring link lies inside it and is dropped
+        inst = tmp_path / "i.txt"
+        code, _, _ = self.run(["gen", "cycle_of_cliques", "--n", "3",
+                               "--seed", "0", "--out", str(inst)], capsys)
+        assert code == 0
+        code, out, err = self.run(["solve", str(inst)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["size"] == 3
 
     def test_pipeline_flags_only_where_read(self, tmp_path, capsys):
         # verify and oracle run no pipeline, so its flags are usage errors

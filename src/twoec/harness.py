@@ -116,8 +116,8 @@ def gen_gnp_2ec(n: int, density: float, seed: int,
 
 
 def gen_hamiltonian_plus_chords(n: int, chords: int, seed: int) -> Graph:
-    if n < 2:
-        raise InfeasibleError("hamiltonian_plus_chords needs n >= 2")
+    if n < 3:
+        raise InfeasibleError("hamiltonian_plus_chords needs n >= 3")
     rng = random.Random(seed)
     pairs = [(i, (i + 1) % n) for i in range(n)]
     have = set((min(u, v), max(u, v)) for u, v in pairs)
@@ -263,6 +263,8 @@ def structured_solver(g: Graph,
     constrained cover matches the unconstrained minimum size is already
     best possible, so enumeration stops early.
     """
+    if max_guesses is not None and max_guesses < 1:
+        raise ValueError(f"max_guesses {max_guesses} is below 1")
     if trace is not None:
         trace.dispatched += 1
     h0 = initial_cover(g, frozenset(), deadline=deadline)

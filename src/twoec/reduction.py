@@ -1,11 +1,11 @@
-"""Recursive reduction of arbitrary 2EC instances to structured ones.
+"""Reduction of arbitrary 2EC instances to structured ones.
 
-`reduce` peels off easy structure (small instances, cut vertices, parallel
-edges, irrelevant edges, contractible subgraphs, non-isolating 2-vertex
-cuts) until what remains is structured, then hands it to the supplied
-structured-instance solver and stitches the pieces back together. The
-stitched solution is always a 2EC spanning subgraph, and its size obeys the
-alpha bound when the solver does.
+`reduce` splits off easy structure (small instances, the blocks at cut
+vertices, parallel edges, irrelevant edges, contractible subgraphs,
+non-isolating 2-vertex cuts) until what remains is structured, hands that
+to the supplied structured-instance solver and stitches the pieces back
+together. The result is always a 2EC spanning subgraph, and its size obeys
+the alpha bound when the solver does.
 """
 
 import itertools
@@ -16,8 +16,9 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
 
 from .cover import GUESS_VERTICES
 from .errors import InfeasibleError, InternalContradiction
-from .graph import (VIRTUAL_BASE, Edge, Graph, components, cut_vertices,
-                    find_irrelevant_edge, is_2ec, two_vertex_cuts)
+from .graph import (VIRTUAL_BASE, Edge, Graph, biconnected_blocks,
+                    components, cut_vertices, find_irrelevant_edge, is_2ec,
+                    two_vertex_cuts)
 from .oracle import find_contractible_subgraph, min_2ecss, opt_type
 
 ALPHA_DEFAULT = Fraction(5, 4)
@@ -58,13 +59,11 @@ def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = No
     if not is_2ec(g):
         raise InfeasibleError("input graph is not 2-edge-connected")
     trace = ReductionTrace()
-    ids = itertools.count(VIRTUAL_BASE)
-    sol = _red(g, alpha, alg, deadline, trace, ids)
-    sub = g.spanning(sol)
-    if not is_2ec(sub):
+    sol = _red(g, alpha, alg, deadline, trace, itertools.count(VIRTUAL_BASE))
+    if not is_2ec(g.spanning(sol)):
         raise InternalContradiction("reduction output is not 2EC spanning",
                                     counterexample=g)
-    return frozenset(sol), trace
+    return sol, trace
 
 
 def _small_threshold(alpha: Fraction) -> Fraction:
@@ -76,31 +75,29 @@ def _small_threshold(alpha: Fraction) -> Fraction:
 def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
          deadline: Optional[float], trace: ReductionTrace,
          ids: Iterator[int]) -> FrozenSet[int]:
-    # parallel_loop drops one edge and irrelevant every listed edge; both go
-    # round again rather than recurse, so no number of such edges reaches
-    # the recursion limit. The other rules recurse on smaller graphs.
-    while True:
-        n = g.n
-
-        if n <= _small_threshold(alpha):
+    # A work list: each rule replaces the graph it pops by smaller ones or
+    # adds edges to `kept`. one_cut pushes every block at once, one step per
+    # block after the first (every cycle lies in one block; blocks drop only
+    # loops, which no minimum keeps). Only handle_two_cut still recurses.
+    kept: Set[int] = set()
+    todo = [g]
+    while todo:
+        g = todo.pop()
+        if g.n <= _small_threshold(alpha):
             trace.steps.append("brute_force")
-            return min_2ecss(g, deadline)
+            kept |= min_2ecss(g, deadline)
+            continue
 
-        cuts1 = cut_vertices(g)
-        if cuts1:
-            v = min(cuts1)
-            comps = components(g.without_vertices({v}))
-            v1 = set(comps[0])
-            v2 = set().union(*comps[1:])
-            trace.steps.append("one_cut")
-            s1 = _red(g.induced(v1 | {v}), alpha, alg, deadline, trace, ids)
-            s2 = _red(g.induced(v2 | {v}), alpha, alg, deadline, trace, ids)
-            return s1 | s2
+        if cut_vertices(g):
+            blocks = biconnected_blocks(g)
+            trace.steps.extend(["one_cut"] * (len(blocks) - 1))
+            todo.extend(g.subgraph(es, vs) for vs, es in reversed(blocks))
+            continue
 
         e = _parallel_or_loop(g)
         if e is not None:
             trace.steps.append("parallel_loop")
-            g = g.without_edges([e.id])
+            todo.append(g.without_edges([e.id]))
             continue
 
         # One cut scan per round serves the irrelevant and 2-cut rules.
@@ -114,23 +111,24 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
         irrelevant = find_irrelevant_edge(g, cuts)
         if irrelevant is not None:
             trace.steps.extend(["irrelevant"] * len(irrelevant))
-            g = g.without_edges(irrelevant)
+            todo.append(g.without_edges(irrelevant))
             continue
 
         h = find_contractible_subgraph(g, alpha, deadline)
         if h is not None:
-            gc, _vmap = g.contract(h.vertices)
             trace.steps.append("contract")
-            rec = _red(gc, alpha, alg, deadline, trace, ids)
-            return frozenset(h.edge_set() | rec)
+            kept |= h.edge_set()
+            todo.append(g.contract(h.vertices)[0])
+            continue
 
         # the smallest pair, as cuts come in lexicographic order
         pair = next((pair for pair, kind in cuts if kind == "non_isolating"),
                     None)
         if pair is not None:
             cut = partition_non_isolating(g, *pair)
-            return handle_two_cut(g, cut, alpha, alg, deadline=deadline,
-                                  trace=trace, ids=ids)
+            kept |= handle_two_cut(g, cut, alpha, alg, deadline=deadline,
+                                   trace=trace, ids=ids)
+            continue
 
         if alg is None:
             raise InternalContradiction(
@@ -140,7 +138,8 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
         if not is_2ec(g.spanning(sol)):
             raise InternalContradiction("structured solver output not 2EC",
                                         counterexample=g)
-        return frozenset(sol)
+        kept |= sol
+    return frozenset(kept)
 
 
 def _parallel_or_loop(g: Graph) -> Optional[Edge]:
@@ -196,12 +195,10 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
         return _opt_via_types(g, g1, g2, u, v, deadline)
 
     if g1.n > contract_thr:
-        parts = []
         trace.steps.append("two_cut_both_big")
-        for gi in (g1, g2):
-            gic, _ = gi.contract({u, v})
-            parts.append(_red(gic, alpha, alg, deadline, trace, ids))
-        s = parts[0] | parts[1]
+        s = frozenset().union(*(
+            _red(gi.contract({u, v})[0], alpha, alg, deadline, trace, ids)
+            for gi in (g1, g2)))
         return s | _min_patch(g, s, 2)
 
     opt_1b = opt_type(g1, u, v, "B", g_full=g, deadline=deadline)

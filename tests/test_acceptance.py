@@ -236,9 +236,10 @@ def _corpus_500():
         elif fam == "dumbbell":
             n = 10 + (i % 9)
         else:
-            # dense G(n,p) above n ~ 15 pushes the exact cover oracle past
-            # desk scale; sparse large instances are covered by the other
-            # families and by the ratio corpus
+            # up to 16 vertices reduce() solves G(n,p) by the exact search
+            # at once; above that the contractible-subgraph search runs on
+            # every dense instance and its cost grows fast with n, so large
+            # instances come from the sparse families and the ratio corpus
             n = 8 + (i % 7)
         specs.append((fam, n, i))
     return specs

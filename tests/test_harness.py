@@ -13,7 +13,7 @@ from twoec.graph import Edge, Graph, is_2ec
 from twoec.harness import (FAMILIES, baseline_dfs2, format_instance,
                            gen_dumbbell, gen_gnp_2ec, gen_structured_stress,
                            generate, instance_hash, parse_instance,
-                           report_json, solve, verify)
+                           report_json, solve, structured_solver, verify)
 from twoec.oracle import min_2ecss
 
 import reference
@@ -222,6 +222,14 @@ class TestSolve:
         assert got == want
         assert verify(g, sol)["status"] == "OK"
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_max_guesses_below_one_refused(self, structured_shapes, k):
+        # no guess at all would report the feasible ring as infeasible
+        g = structured_shapes["ring-4.5.5.4.4-s1"]
+        for run in (structured_solver, solve):
+            with pytest.raises(ValueError, match="max_guesses"):
+                run(g, max_guesses=k)
+
     def test_passed_deadline_raises(self):
         with pytest.raises(OracleTimeout):
             solve(generate("structured_stress", 40, 40),
@@ -356,8 +364,9 @@ class TestCli:
         assert err == f"parse error: --max-guesses {k} is below 1\n"
 
     @pytest.mark.parametrize("family,n", [
-        ("hamiltonian_plus_chords", 1), ("cycle_of_cliques", 1),
-        ("cycle_of_cliques", 2), ("structured_stress", 7)])
+        ("hamiltonian_plus_chords", 1), ("hamiltonian_plus_chords", 2),
+        ("cycle_of_cliques", 1), ("cycle_of_cliques", 2),
+        ("structured_stress", 7)])
     def test_gen_too_small_exit_code(self, tmp_path, capsys, family, n):
         out = tmp_path / "i.txt"
         code, _, err = self.run(["gen", family, "--n", str(n),
@@ -371,6 +380,18 @@ class TestCli:
         code, _, _ = self.run(["gen", "cycle_of_cliques", "--n", "3",
                                "--seed", "0", "--out", str(inst)], capsys)
         assert code == 0
+        code, out, err = self.run(["solve", str(inst)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["size"] == 3
+
+    def test_gen_hamiltonian_plus_chords_n3_solves(self, tmp_path, capsys):
+        # the smallest Hamiltonian cycle, a triangle; at n = 2 the cycle
+        # would be one edge
+        inst = tmp_path / "i.txt"
+        code, _, _ = self.run(["gen", "hamiltonian_plus_chords", "--n", "3",
+                               "--seed", "0", "--out", str(inst)], capsys)
+        assert code == 0
+        assert is_2ec(parse_instance(inst.read_text()))
         code, out, err = self.run(["solve", str(inst)], capsys)
         assert code == 0, err
         assert json.loads(out)["size"] == 3

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import twoec
 from twoec import oracle
-from twoec.graph import (Edge, Graph, connected_subsets, is_2ec, components,
-                         two_ec_blocks)
+from twoec.graph import (Edge, Graph, biconnected_blocks, connected_subsets,
+                         is_2ec, components, two_ec_blocks)
 from twoec.harness import generate, solve
 from twoec.oracle import (
     find_contractible_subgraph, min_2ecss, min_inner_edges, min_tf2ec,
@@ -130,6 +130,24 @@ class TestMin2ecss:
     def test_vertex_cap(self):
         with pytest.raises(OracleBudgetError):
             min_2ecss(c_n(20), vertex_cap=16)
+
+    def test_union_over_blocks(self):
+        # every cycle lies in one block, and the (size, lex) tie-break
+        # survives a disjoint union, so the optimum of g is the union of
+        # the optima of its blocks, as exact sets; the reduction's one-cut
+        # rule rests on this
+        seen = Counter()
+        for seed in range(300):
+            g, k = chain_of_blocks(random.Random(seed))
+            blocks = biconnected_blocks(g)
+            assert len(blocks) == k
+            want = frozenset().union(*(min_2ecss(g.subgraph(es, vs))
+                                       for vs, es in blocks))
+            assert min_2ecss(g) == want, seed
+            seen[k] += 1
+            seen["loop"] += any(e.is_loop() for e in g.edges())
+            seen["parallel"] += len({e.ends for e in g.edges()}) < g.m
+        assert len(seen) == 5 and min(seen.values()) >= 50
 
     def test_runs_without_networkx(self):
         # the solver must not need the test-only networkx package
@@ -327,6 +345,32 @@ def random_2ec_multigraph(rng, n):
         e = rng.choice(es)
         extra.append(Edge(g.m + len(extra), e.u, e.v))
     return g.with_edges(extra)
+
+
+def chain_of_blocks(rng):
+    """(g, k): a 2EC multigraph on at most 12 vertices, on random vertex
+    labels and edge ids, whose k blocks (2 to 4) each share one vertex with
+    an earlier one. A block is 2 to 3 parallel edges, or a Hamiltonian
+    cycle with up to |block| - 2 chords (more make some searches over all
+    of g take seconds) and up to two parallel edges; up to two loops go
+    anywhere."""
+    k = rng.randint(2, 4)
+    n, edges = 1, []
+    for i in range(k):
+        size = rng.randint(2, min(6, 13 - n - (k - 1 - i)))
+        if size == 2:
+            piece = [(0, 1)] * rng.randint(2, 3)
+        else:
+            piece = [e.ends for e in random_2ec_graph(
+                rng, size, extra=rng.randint(0, size - 2)).edges()]
+            piece += rng.sample(piece, rng.randint(0, 2))
+        # vertex 0 of the piece is an old vertex, the others are new
+        at = {0: rng.randrange(n)}
+        at.update((v, n + v - 1) for v in range(1, size))
+        edges += [(at[u], at[v]) for u, v in piece]
+        n += size - 1
+    edges += [(v, v) for v in rng.sample(range(n), rng.randint(0, 2))]
+    return relabel(rng, Graph.from_edge_list(n, edges)), k
 
 
 def relabel(rng, g):

@@ -103,6 +103,21 @@ class TestReduceSmall:
             assert reduce(g)[0] == frozenset(range(5))
             assert min_2ecss(g) == frozenset(range(5))
 
+    @pytest.mark.parametrize("k", [5, 1000])
+    def test_chain_of_blocks_splits_once(self, k):
+        # k 5-cycles, each sharing one vertex with the next: one split into
+        # all k blocks, one one_cut step per block after the first, and one
+        # exact search per block. A rule that recursed once per block would
+        # pass the recursion limit at k = 1000.
+        g = Graph.from_edge_list(4 * k + 1, [(4 * c + i, 4 * c + (i + 1) % 5)
+                                             for c in range(k)
+                                             for i in range(5)])
+        sol, trace = reduce(g)
+        assert sol == frozenset(range(5 * k))
+        assert trace.steps.count("one_cut") == k - 1
+        assert trace.steps.count("brute_force") == k
+        assert len(trace.steps) == 2 * k - 1
+
 
 class TestReduceRules:
     def test_irrelevant_edge_on_big_cycle(self):

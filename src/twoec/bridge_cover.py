@@ -18,19 +18,20 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import InternalContradiction
-from .graph import (Edge, Graph, bridges, components, is_2ec, two_ec_blocks)
-from .cover import canonical_violations, cost, _is_coarsening
+from .graph import Graph, components
+from .cover import canonical_violations, cover_cost, pieces, _is_coarsening
 
 
 @dataclass
 class TcTree:
-    """Contraction of the host graph around one bridged cover component.
+    """Contraction of the host graph g around one bridged cover component.
 
     gc: the contracted multigraph; node names are smallest original
     vertices (of a block, of a lonely vertex, or of another component).
     tc_nodes: the tree nodes, tagged "block" or "lonely". tc_edges: the
     bridge edge ids, which induce the tree.
     """
+    g: Graph
     gc: Graph
     tree: Graph
     tc_nodes: Dict[int, str]
@@ -41,8 +42,8 @@ class TcTree:
 class BridgeCoverMove:
     added: FrozenSet[int]
     removed: FrozenSet[int]
-    bound: Fraction            # guaranteed lower bound on cost(S) - cost(S')
-    cost_delta: Fraction       # exact cost(S) - cost(S'), equals bound or better
+    bound: Fraction            # guaranteed lower bound on the cost drop
+    cost_delta: Fraction       # exact cover_cost drop, equals bound or better
     rule: str
 
 
@@ -56,49 +57,29 @@ class _Path:
 
 def build_tc(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> TcTree:
     """Contract blocks of the cover component c and all other components."""
-    cset = frozenset(c)
-    sub = g.spanning(s)
-    csub = sub.induced(sorted(cset))
-    dec = two_ec_blocks(csub)
-    if not dec.bridge_ids:
+    ps = pieces(g, s)
+    vertex_node = {v: p.vertices[0] for p in ps for v in p.vertices}
+    home = vertex_node[min(c)]
+    piece = next(p for p in ps if p.vertices[0] == home)
+    if not piece.bridges:
         raise ValueError("component has no bridge")
-
-    vertex_node: Dict[int, int] = {}
     tc_nodes: Dict[int, str] = {}
-    for vs, _es in dec.blocks:
-        rep = min(vs)
-        tc_nodes[rep] = "block"
+    for vs, _es in piece.blocks:
+        tc_nodes[min(vs)] = "block"
         for v in vs:
-            vertex_node[v] = rep
-    for v in dec.lonely:
+            vertex_node[v] = min(vs)
+    for v in piece.lonely:
         tc_nodes[v] = "lonely"
         vertex_node[v] = v
-    for comp in components(sub):
-        if comp[0] in cset:
-            continue
-        for v in comp:
-            vertex_node[v] = comp[0]
-
-    gc_edges = []
-    for e in g.edges():
-        a, b = vertex_node[e.u], vertex_node[e.v]
-        if a != b:
-            gc_edges.append(Edge(e.id, a, b))
-    gc = Graph(vertex_node.values(), gc_edges)
-
-    tree_edges = []
-    for eid in sorted(dec.bridge_ids):
-        e = g.edge(eid)
-        tree_edges.append(Edge(eid, vertex_node[e.u], vertex_node[e.v]))
-    tree = Graph(tc_nodes.keys(), tree_edges)
+    tree = g.subgraph(piece.bridges, piece.vertices).quotient(vertex_node)
     if tree.m != tree.n - 1:
         raise InternalContradiction("bridges of a component do not form a tree",
-                                    counterexample=(g, s, cset))
+                                    counterexample=(g, s, piece.vertices))
     for v in tree.vertices:
         if tree.degree(v) == 1 and tc_nodes[v] != "block":
             raise InternalContradiction("tree leaf is not a block",
                                         counterexample=(g, s, v))
-    return TcTree(gc, tree, tc_nodes, frozenset(dec.bridge_ids))
+    return TcTree(g, g.quotient(vertex_node), tree, tc_nodes, piece.bridges)
 
 
 def _reach_paths(tc: TcTree, w: Iterable[int],
@@ -221,7 +202,7 @@ def _branch_partition(tc: TcTree, path: List[int]) -> Dict[int, Set[int]]:
                     attach = index[anchor]
         if attach is None or attach == 0:
             raise InternalContradiction("branch not attached to spine interior",
-                                        counterexample=path)
+                                        counterexample=(tc.g, path))
         out.setdefault(attach, set()).update(cset)
     return out
 
@@ -239,25 +220,25 @@ def merge_two_paths(tc: TcTree, b: int, bp: int, u: int, up: int
     p2 = _reach_paths(tc, {bp}).get(up)
     if p1 is None or p2 is None:
         raise InternalContradiction("expected augmenting path is missing",
-                                    counterexample=(b, bp, u, up))
+                                    counterexample=(tc.g, b, bp, u, up))
     if set(p1.internals) & set(p2.internals):
         allowed = set(p1.edges) | set(p2.edges)
         short = _reach_paths(tc, {b}, allowed=allowed).get(bp)
         if short is None:
             raise InternalContradiction("shared paths without a block link",
-                                        counterexample=(b, bp, u, up))
+                                        counterexample=(tc.g, b, bp, u, up))
         br, bl, _ = _tree_path(tc, b, bp)
         gain = _gain(br, bl)
         if gain < 0:
             raise InternalContradiction("block-to-block path came out costly",
-                                        counterexample=(b, bp))
+                                        counterexample=(tc.g, b, bp))
         return frozenset(short.edges), gain, "merge_shared"
     br1, _, t1 = _tree_path(tc, b, u)
     br2, _, t2 = _tree_path(tc, bp, up)
     covered = set(t1) | set(t2)
     if len(covered) < 4:
         raise InternalContradiction("two-path merge covers under 4 bridges",
-                                    counterexample=(b, bp, u, up))
+                                    counterexample=(tc.g, b, bp, u, up))
     return frozenset(p1.edges) | frozenset(p2.edges), Fraction(0), "merge_two_paths"
 
 
@@ -272,12 +253,12 @@ def _finalize(g: Graph, s: FrozenSet[int], added: FrozenSet[int],
               removed: FrozenSet[int], bound: Fraction, rule: str
               ) -> BridgeCoverMove:
     new_s = (s | added) - removed
-    old_sub, new_sub = g.spanning(s), g.spanning(new_s)
-    old_br, new_br = bridges(old_sub), bridges(new_sub)
+    old_br = {b for p in pieces(g, s) for b in p.bridges}
+    new_br = {b for p in pieces(g, new_s) for b in p.bridges}
     if not (new_br < old_br):
         raise InternalContradiction("move did not strictly reduce bridges",
                                     counterexample=(g, s, added, removed))
-    delta = cost(old_sub) - cost(new_sub)
+    delta = cover_cost(g, s) - cover_cost(g, new_s)
     if delta < bound:
         raise InternalContradiction(
             f"move accounting broke: delta {delta} < bound {bound}",
@@ -303,7 +284,7 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
     b = path[0]
     if tc.tc_nodes[b] != "block":
         raise InternalContradiction("longest-path end is not a block",
-                                    counterexample=path)
+                                    counterexample=(g, path))
     rb = _reach_paths(tc, {b})
     if not rb:
         raise InternalContradiction("leaf block reaches nothing",
@@ -311,7 +292,7 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
     for u in rb:
         if tc.tc_nodes[u] == "block":
             raise InternalContradiction("block reachable yet no cheap path",
-                                        counterexample=(b, u))
+                                        counterexample=(g, b, u))
     spine = path[1:]                       # u1, u2, ...
     branches = _branch_partition(tc, path)
     near = branches.get(1, set()) | branches.get(2, set())
@@ -321,26 +302,26 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
     if stray:
         # four or more bridges from b would have made a cheap path
         raise InternalContradiction("distant node reachable yet no cheap path",
-                                    counterexample=(b, stray))
+                                    counterexample=(g, b, stray))
 
     in_near = sorted(u for u in rb if u in near)
     if in_near:
         u = in_near[0]
         if tc.tc_nodes[u] != "lonely":
             raise InternalContradiction("near reachable node is a block",
-                                        counterexample=(b, u))
+                                        counterexample=(g, b, u))
         cands = [x for x in tc.tree.neighbors(u)
                  if tc.tree.degree(x) == 1 and x in near]
         if not cands:
             raise InternalContradiction("no leaf block beside reachable node",
-                                        counterexample=(b, u))
+                                        counterexample=(g, b, u))
         bp = cands[0]
         rbp = _reach_paths(tc, {bp})
         ups = [x for x in sorted(rbp)
                if x not in (bp, b, u) and tc.tc_nodes[x] == "lonely"]
         if not ups:
             raise InternalContradiction("side block has no usable partner",
-                                        counterexample=(b, bp))
+                                        counterexample=(g, b, bp))
         added, bound, rule = merge_two_paths(tc, b, bp, u, ups[0])
         return _finalize(g, s, added, frozenset(), bound, rule)
 
@@ -348,7 +329,7 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
         leaves = [x for x in sorted(near) if tc.tree.degree(x) == 1]
         if not leaves:
             raise InternalContradiction("near branch without a leaf",
-                                        counterexample=sorted(near))
+                                        counterexample=(g, sorted(near)))
         bp = leaves[0]
         lp = tc.tree.neighbors(bp)[0]
         rbp = _reach_paths(tc, {bp})
@@ -356,10 +337,10 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
         for x in ups:
             if tc.tc_nodes[x] == "block":
                 raise InternalContradiction("block reachable yet no cheap path",
-                                            counterexample=(bp, x))
+                                            counterexample=(g, bp, x))
         if not ups or len(spine) < 3 or spine[2] not in rb:
             raise InternalContradiction("side-branch merge has no partner",
-                                        counterexample=(b, bp))
+                                        counterexample=(g, b, bp))
         added, bound, rule = merge_two_paths(tc, b, bp, spine[2], ups[0])
         return _finalize(g, s, added, frozenset(), bound, rule)
 
@@ -371,7 +352,7 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
         bp = blocks_rw[0]
         if len(spine) < 2 or spine[1] not in rb:
             raise InternalContradiction("spine merge partner missing",
-                                        counterexample=(b, bp))
+                                        counterexample=(g, b, bp))
         added, bound, rule = merge_two_paths(tc, b, bp, spine[1], u1)
         return _finalize(g, s, added, frozenset(), bound, rule)
 
@@ -385,13 +366,14 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
     p2 = _reach_paths(tc, {u1}).get(up)
     if p2 is None:
         raise InternalContradiction("partner not reachable from u1",
-                                    counterexample=(b, up))
+                                    counterexample=(g, b, up))
     if set(p1.internals) & set(p2.internals):
         raise InternalContradiction("swap paths intersect",
-                                    counterexample=(b, up))
+                                    counterexample=(g, b, up))
     between = tc.tree.edges_between(u1, spine[1])
     if not between:
-        raise InternalContradiction("missing spine bridge", counterexample=path)
+        raise InternalContradiction("missing spine bridge",
+                                    counterexample=(g, path))
     added = frozenset(p1.edges) | frozenset(p2.edges)
     return _finalize(g, s, added, frozenset([between[0].id]),
                      Fraction(0), "two_path_swap")
@@ -401,24 +383,21 @@ def cover_all(g: Graph, cover: FrozenSet[int],
               moves: Optional[List[BridgeCoverMove]] = None) -> FrozenSet[int]:
     """Apply cover_step until every component is 2-edge-connected."""
     cur = cover
-    budget = len(bridges(g.spanning(cur))) + 1
+    budget = sum(len(p.bridges) for p in pieces(g, cur)) + 1
     while True:
-        sub = g.spanning(cur)
-        bridged = [comp for comp in components(sub)
-                   if not is_2ec(sub.induced(comp))]
+        bridged = [p for p in pieces(g, cur) if p.bridges]
         if not bridged:
             break
         budget -= 1
         if budget <= 0:
             raise InternalContradiction("bridge elimination failed to make "
                                         "progress", counterexample=(g, cur))
-        comp = min(bridged, key=lambda c: c[0])
-        mv = cover_step(g, cur, comp)
+        mv = cover_step(g, cur, bridged[0].vertices)
         if moves is not None:
             moves.append(mv)
         cur = (cur | mv.added) - mv.removed
 
-    if cost(g.spanning(cur)) > cost(g.spanning(cover)):
+    if cover_cost(g, cur) > cover_cost(g, cover):
         raise InternalContradiction("bridge elimination raised the cost",
                                     counterexample=(g, cover, cur))
     bad = canonical_violations(g, cur)

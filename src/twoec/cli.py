@@ -58,7 +58,6 @@ def _solve_flags(args) -> Dict[str, object]:
     return dict(alpha=_alpha(args.alpha),
                 seed=args.seed,
                 max_guesses=args.max_guesses,
-                first_feasible=args.first_feasible,
                 want_trace=args.trace)
 
 
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--seed", type=int, default=None)
     pipeline.add_argument("--trace", action="store_true")
     pipeline.add_argument("--max-guesses", type=int, default=None)
-    pipeline.add_argument("--first-feasible", action="store_true")
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("family", choices=FAMILIES)

@@ -1,19 +1,24 @@
-"""Triangle-free 2-edge covers: guessing, canonical form, credit accounting.
+"""Triangle-free 2-edge covers: guessing, decomposition, cost, canonical form.
 
 The lower-bound object for the solver is a minimum triangle-free 2-edge
 cover containing a guessed tree on 8 vertices. This module enumerates the
 guesses, computes the constrained cover with the guessed edges forced into
-`oracle.min_tf2ec`, massages covers into canonical form, and computes the
-credit ledger that the later merging stages check their moves against.
+`oracle.min_tf2ec`, and massages covers into canonical form. `pieces` is
+the one split of a cover into components, 2EC blocks and bridges; the
+canonical-form checks, `cover_cost` (edges plus credits, which the later
+merging stages check their moves against), bridge covering and gluing all
+read it.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import InternalContradiction
 from .graph import (Graph, bridges, components, connected_subsets,
-                    hamiltonian_path, is_2ec, path_edge_ids, two_ec_blocks)
+                    hamiltonian_path, path_edge_ids)
 from .oracle import min_tf2ec
 
 GUESS_VERTICES = 8
@@ -101,20 +106,49 @@ def initial_cover(g: Graph, f: FrozenSet[int],
     return h
 
 
-# -- credits and cost ------------------------------------------------------
+# -- the pieces of a cover and their cost ---------------------------------
 
 
-@dataclass
-class CreditLedger:
-    component_credits: Dict[int, Fraction] = field(default_factory=dict)
-    block_credits: Dict[Tuple[int, int], Fraction] = field(default_factory=dict)
-    bridge_credits: Dict[int, Fraction] = field(default_factory=dict)
+class Piece(NamedTuple):
+    """One component of a cover: its vertices (ascending), edge ids and
+    bridge ids, its 2EC blocks as (vertex set, edge ids) by smallest
+    vertex, and its vertices in no block. A piece with no bridge is 2EC."""
+    vertices: Tuple[int, ...]
+    edges: FrozenSet[int]
+    bridges: FrozenSet[int]
+    blocks: Tuple[Tuple[FrozenSet[int], FrozenSet[int]], ...]
+    lonely: FrozenSet[int]
 
-    @property
-    def total(self) -> Fraction:
-        return (sum(self.component_credits.values(), Fraction(0))
-                + sum(self.block_credits.values(), Fraction(0))
-                + sum(self.bridge_credits.values(), Fraction(0)))
+
+@lru_cache(maxsize=16)
+def pieces(g: Graph, h: FrozenSet[int]) -> Tuple[Piece, ...]:
+    """The components of g.spanning(h), ordered by smallest vertex.
+
+    The 2EC blocks are the components of the cover less its bridges; one
+    with no edge is a lonely vertex, and a looped vertex alone a block of
+    its own. Canonical form, bridge covering and gluing check one cover
+    several times, so the last few decompositions are kept.
+    """
+    sub = g.spanning(h)
+    br = bridges(sub)
+    comps = components(sub)
+    at = {v: i for i, comp in enumerate(comps) for v in comp}
+    edges: List[Set[int]] = [set() for _ in comps]
+    for e in sub.edges():
+        edges[at[e.u]].add(e.id)
+    blocks: List[list] = [[] for _ in comps]
+    lonely: List[Set[int]] = [set() for _ in comps]
+    residue = sub.without_edges(br)
+    for c in components(residue):
+        es = frozenset(e.id for v in c for e in residue.incident(v))
+        if es:
+            blocks[at[c[0]]].append((frozenset(c), es))
+        else:
+            lonely[at[c[0]]].add(c[0])
+    return tuple(Piece(tuple(comp), frozenset(edges[i]),
+                       frozenset(b for b in br if at[g.edge(b).u] == i),
+                       tuple(blocks[i]), frozenset(lonely[i]))
+                 for i, comp in enumerate(comps))
 
 
 def component_credit(m: int) -> Fraction:
@@ -122,30 +156,16 @@ def component_credit(m: int) -> Fraction:
     return Fraction(m, 4) if m < 8 else Fraction(2)
 
 
-def credits(s: Graph) -> CreditLedger:
-    """Credit ledger for a 2-edge cover given as its (spanning) subgraph."""
-    led = CreditLedger()
-    for comp in components(s):
-        key = comp[0]
-        sub = s.induced(comp)
-        if is_2ec(sub):
-            led.component_credits[key] = component_credit(sub.m)
+def cover_cost(g: Graph, h: FrozenSet[int]) -> Fraction:
+    """|h| plus credits: a 2EC piece with m edges gets component_credit(m),
+    a bridged one 1, plus 1 per 2EC block and 1/4 per bridge."""
+    total = Fraction(len(h))
+    for p in pieces(g, h):
+        if p.bridges:
+            total += 1 + len(p.blocks) + Fraction(len(p.bridges), 4)
         else:
-            led.component_credits[key] = Fraction(1)
-            dec = two_ec_blocks(sub)
-            for vs, _es in dec.blocks:
-                led.block_credits[(key, min(vs))] = Fraction(1)
-            for beid in dec.bridge_ids:
-                led.bridge_credits[beid] = Fraction(1, 4)
-    return led
-
-
-def cost(s: Graph) -> Fraction:
-    return Fraction(s.m) + credits(s).total
-
-
-def cover_cost(g: Graph, edge_ids: FrozenSet[int]) -> Fraction:
-    return cost(g.spanning(edge_ids))
+            total += component_credit(len(p.edges))
+    return total
 
 
 # -- canonical covers ------------------------------------------------------
@@ -153,59 +173,51 @@ def cover_cost(g: Graph, edge_ids: FrozenSet[int]) -> Fraction:
 
 def is_tf2ec(g: Graph, h: FrozenSet[int]) -> bool:
     """h is a 2-edge cover of g and no component of h is a triangle."""
-    sub = g.spanning(h)
-    if any(sub.degree(v) < 2 for v in g.vertices):
+    degree = Counter(x for eid in h for x in g.edge(eid).ends)
+    if any(degree[v] < 2 for v in g.vertices):
         return False
-    for comp in components(sub):
-        if len(comp) == 3 and sub.induced(comp).m == 3:
-            return False
-    return True
+    return not any(len(p.vertices) == 3 and len(p.edges) == 3
+                   for p in pieces(g, h))
 
 
 def canonical_violations(g: Graph, h: FrozenSet[int]) -> List[Tuple[str, object]]:
     """The canonical-cover properties that h fails, with witnesses."""
-    sub = g.spanning(h)
     out: List[Tuple[str, object]] = []
     saw_big = False
-    for comp in components(sub):
-        cs = sub.induced(comp)
-        if len(comp) >= 8:
+    for p in pieces(g, h):
+        n, m, rep = len(p.vertices), len(p.edges), p.vertices[0]
+        if n >= 8:
             saw_big = True
-        if len(comp) == 3 and cs.m == 3:
-            out.append(("triangle_component", comp[0]))
+        if n == 3 and m == 3:
+            out.append(("triangle_component", rep))
             continue
-        if is_2ec(cs):
-            if cs.m < 8 and cs.m != cs.n:
-                out.append(("small_non_cycle", comp[0]))
+        if not p.bridges:
+            if m < 8 and m != n:
+                out.append(("small_non_cycle", rep))
         else:
-            dec = two_ec_blocks(cs)
             big_blocks = 0
-            for vs, es in dec.blocks:
+            for vs, es in p.blocks:
                 if len(es) < 4:
-                    out.append(("small_block", (comp[0], min(vs))))
+                    out.append(("small_block", (rep, min(vs))))
                 if len(es) >= 6:
                     big_blocks += 1
             if big_blocks < 2:
-                out.append(("too_few_big_blocks", comp[0]))
+                out.append(("too_few_big_blocks", rep))
     if not saw_big:
         out.append(("no_big_component", None))
     return out
 
 
 def _potential(g: Graph, h: FrozenSet[int]) -> Tuple[int, int, int]:
-    sub = g.spanning(h)
-    return (len(h), len(components(sub)), len(bridges(sub)))
+    ps = pieces(g, h)
+    return (len(h), len(ps), sum(len(p.bridges) for p in ps))
 
 
 def _is_coarsening(g: Graph, new: FrozenSet[int], old: FrozenSet[int]) -> bool:
-    new_comp: Dict[int, int] = {}
-    for i, comp in enumerate(components(g.spanning(new))):
-        for v in comp:
-            new_comp[v] = i
-    for comp in components(g.spanning(old)):
-        if len({new_comp[v] for v in comp}) > 1:
-            return False
-    return True
+    new_comp = {v: i for i, p in enumerate(pieces(g, new))
+                for v in p.vertices}
+    return all(len({new_comp[v] for v in p.vertices}) == 1
+               for p in pieces(g, old))
 
 
 def _validated(g: Graph, h: FrozenSet[int], h2: FrozenSet[int]
@@ -223,7 +235,7 @@ def _validated(g: Graph, h: FrozenSet[int], h2: FrozenSet[int]
 def _drop_spare_edge(g: Graph, h: FrozenSet[int]) -> Optional[FrozenSet[int]]:
     """Delete a non-bridge cover edge whose endpoints both keep degree >= 2."""
     sub = g.spanning(h)
-    br = bridges(sub)
+    br = {b for p in pieces(g, h) for b in p.bridges}
     for eid in sorted(h):
         if eid in br:
             continue
@@ -239,19 +251,14 @@ def _rewire_leaf_block(g: Graph, h: FrozenSet[int]) -> Optional[FrozenSet[int]]:
     A leaf block of a complex component with <= 5 edges and attachment node
     u1 becomes a u1-v1 Hamiltonian path over its vertices plus an edge from
     v1 out of the block, merging it into whatever v1's neighbor belongs to.
+    A block's attachment nodes are its ends of the component's bridges.
     """
-    sub = g.spanning(h)
-    for comp in components(sub):
-        cs = sub.induced(comp)
-        if is_2ec(cs):
-            continue
-        dec = two_ec_blocks(cs)
-        comp_set = set(comp)
-        for vs, es in sorted(dec.blocks, key=lambda b: min(b[0])):
+    for p in pieces(g, h):
+        ends = {x for eid in p.bridges for x in g.edge(eid).ends}
+        for vs, es in p.blocks:
             if len(es) > 5:
                 continue
-            attach = sorted(v for v in vs
-                            if any(w not in vs for w in cs.neighbors(v)))
+            attach = sorted(vs & ends)
             if len(attach) != 1:
                 continue
             u1 = attach[0]
@@ -276,14 +283,11 @@ def _exchange_small_component(g: Graph, h: FrozenSet[int]
                               ) -> Optional[FrozenSet[int]]:
     """Bounded (remove <= 2, add <= 1) exchange on a small non-cycle 2EC
     component; the canonical-form proof guarantees one applies."""
-    import itertools
-    sub = g.spanning(h)
-    for comp in components(sub):
-        cs = sub.induced(comp)
-        if not is_2ec(cs) or cs.m >= 8 or cs.m == cs.n:
+    for p in pieces(g, h):
+        if p.bridges or len(p.edges) >= 8 or len(p.edges) == len(p.vertices):
             continue
-        comp_edges = cs.edge_ids()
-        incident = sorted(e.id for v in comp for e in g.incident(v)
+        comp_edges = sorted(p.edges)
+        incident = sorted(e.id for v in p.vertices for e in g.incident(v)
                           if e.id not in h)
         removals = [frozenset(c) for r in (1, 2)
                     for c in itertools.combinations(comp_edges, r)]

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InternalContradiction
-from .cover import canonical_violations, component_credit, cover_cost
+from .cover import canonical_violations, component_credit, cover_cost, pieces
 from .graph import (ComponentGraph, Edge, FlowNet, Graph, _blocks, _index,
-                    component_graph, components, find_cross_matching,
-                    hamiltonian_path, is_2ec, path_avoiding, path_edge_ids)
+                    component_graph, find_cross_matching, hamiltonian_path,
+                    is_2ec, path_avoiding, path_edge_ids)
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,8 @@ def _blocks_of(h: Graph) -> List[FrozenSet[int]]:
 
 
 def build_context(g: Graph, s: FrozenSet[int]) -> GlueContext:
-    sub = g.spanning(s)
     ghat = component_graph(g, s)
-    comp_edges: Dict[int, FrozenSet[int]] = {}
-    for rep, verts in ghat.node_vertices.items():
-        comp_edges[rep] = frozenset(e.id for e in sub.induced(verts).edges())
+    comp_edges = {p.vertices[0]: p.edges for p in pieces(g, s)}
     blocks = _blocks_of(ghat.graph)
     large = sorted(r for r in comp_edges if len(comp_edges[r]) >= 8)
     if not large:
@@ -354,10 +351,9 @@ def _delete_from_component(ctx: GlueContext, s2: Set[int], c1: int,
     merged component of s2: adjacent attachment pairs first, then a
     verified scan."""
     g = ctx.g
-    sub = g.spanning(s2)
     home = min(ctx.comp_vertices(c1))
-    comp = next(cv for cv in components(sub) if home in cv)
-    f = sub.induced(comp)
+    p = next(p for p in pieces(g, frozenset(s2)) if home in p.vertices)
+    f = g.subgraph(p.edges, p.vertices)
     cyc = sorted(ctx.comp_edges[c1])
     prefer: List[int] = []
     for u, v in pairs:
@@ -381,16 +377,13 @@ def _commit(ctx: GlueContext, new_edges: Set[int], rule: str
     removed = s - new_s
     if not all(g.has_edge(i) for i in added):
         raise InternalContradiction("merge added unknown edges", g)
-    old_comps = components(g.spanning(s))
-    new_comps = components(g.spanning(new_s))
-    if len(new_comps) >= len(old_comps):
+    new_pieces = pieces(g, new_s)
+    if len(new_pieces) >= len(pieces(g, s)):
         raise InternalContradiction(
             "merge rule %s did not reduce the component count" % rule, g)
-    sub = g.spanning(new_s)
-    for comp in new_comps:
-        if not is_2ec(sub.induced(comp)):
-            raise InternalContradiction(
-                "merge rule %s left a non-2EC component" % rule, g)
+    if any(p.bridges for p in new_pieces):
+        raise InternalContradiction(
+            "merge rule %s left a non-2EC component" % rule, g)
     bad = canonical_violations(g, new_s)
     if bad:
         raise InternalContradiction(
@@ -958,7 +951,7 @@ def glue_all(g: Graph, s: FrozenSet[int]
     """Merge until a single spanning 2EC component remains."""
     moves: List[GlueMove] = []
     cur = frozenset(s)
-    ncomp = len(components(g.spanning(cur)))
+    ncomp = len(pieces(g, cur))
     budget = ncomp + 1
     while ncomp > 1:
         budget -= 1
@@ -966,12 +959,12 @@ def glue_all(g: Graph, s: FrozenSet[int]
             raise InternalContradiction("merging stalled", g)
         cur, move = glue_step(g, cur)
         moves.append(move)
-        nxt = len(components(g.spanning(cur)))
+        nxt = len(pieces(g, cur))
         if nxt >= ncomp:
             raise InternalContradiction("merge did not reduce components", g)
         ncomp = nxt
-    sub = g.spanning(cur)
-    if sub.n != g.n or not is_2ec(sub):
+    final = pieces(g, cur)
+    if len(final) != 1 or final[0].bridges:
         raise InternalContradiction("final subgraph is not spanning 2EC", g)
     if Fraction(len(cur)) != cover_cost(g, cur) - 2:
         raise InternalContradiction("final size/cost identity broken", g)

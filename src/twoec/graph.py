@@ -184,13 +184,15 @@ class Graph:
             raise ValueError("cannot contract empty set")
         rep = min(ws)
         vmap = {v: (rep if v in ws else v) for v in self._vertices}
-        edges = []
-        for e in self.edges():
-            u2, v2 = vmap[e.u], vmap[e.v]
-            if u2 == v2:
-                continue
-            edges.append(Edge(e.id, u2, v2))
-        return Graph(sorted(set(vmap.values())), edges), vmap
+        return self.quotient(vmap), vmap
+
+    def quotient(self, node_of: Dict[int, int]) -> "Graph":
+        """The graph on the nodes node_of[v]: each edge joins the nodes of
+        its ends and keeps its id; an edge whose ends share a node is
+        dropped."""
+        return Graph([node_of[v] for v in self._vertices],
+                     [Edge(e.id, node_of[e.u], node_of[e.v])
+                      for e in self.edges() if node_of[e.u] != node_of[e.v]])
 
 
 # -- connectivity primitives ---------------------------------------------
@@ -339,31 +341,6 @@ def is_2vc(g: Graph) -> bool:
     return g.n >= 3 and is_connected(g) and not cut_vertices(g)
 
 
-@dataclass
-class BlockDecomposition:
-    """2EC blocks and bridges of a subgraph.
-
-    blocks: list of (vertex frozenset, edge frozenset), maximal 2EC pieces
-    with at least one edge. bridge_ids: the bridges. lonely: vertices on
-    bridges only (in no block).
-    """
-    blocks: List[Tuple[FrozenSet[int], FrozenSet[int]]]
-    bridge_ids: FrozenSet[int]
-    lonely: FrozenSet[int]
-
-
-def two_ec_blocks(g: Graph) -> BlockDecomposition:
-    """The components of g less its bridges, by smallest vertex; one with no
-    edge is a lonely vertex, and a looped vertex alone a block of its own."""
-    br = bridges(g)
-    residue = g.without_edges(br)
-    parts = [(frozenset(c), frozenset(e.id for v in c
-                                      for e in residue.incident(v)))
-             for c in components(residue)]
-    return BlockDecomposition([p for p in parts if p[1]], frozenset(br),
-                              frozenset(min(vs) for vs, es in parts if not es))
-
-
 def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
     """All 2-vertex cuts with classification 'isolating' / 'non_isolating'.
 
@@ -462,22 +439,13 @@ class ComponentGraph:
 
 
 def component_graph(g: Graph, s_edges: Iterable[int]) -> ComponentGraph:
-    s = g.spanning(s_edges)
     node_vertices: Dict[int, FrozenSet[int]] = {}
     vertex_node: Dict[int, int] = {}
-    for comp in components(s):
-        rep = comp[0]
-        node_vertices[rep] = frozenset(comp)
+    for comp in components(g.spanning(s_edges)):
+        node_vertices[comp[0]] = frozenset(comp)
         for v in comp:
-            vertex_node[v] = rep
-    edges = []
-    for e in g.edges():
-        a, b = vertex_node[e.u], vertex_node[e.v]
-        if a == b:
-            continue
-        edges.append(Edge(e.id, a, b))
-    return ComponentGraph(Graph(node_vertices.keys(), edges),
-                          node_vertices, vertex_node)
+            vertex_node[v] = comp[0]
+    return ComponentGraph(g.quotient(vertex_node), node_vertices, vertex_node)
 
 
 def hamiltonian_path(g: Graph, w: Iterable[int], u: int, v: int) -> Optional[List[int]]:

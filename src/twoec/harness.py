@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .bridge_cover import cover_all
-from .cover import canonicalize, enumerate_guesses, initial_cover
+from .cover import canonicalize, enumerate_guesses, initial_cover, pieces
 from .errors import InfeasibleError, InternalContradiction, ParseError
 from .gluing import glue_all
 from .graph import Edge, Graph, bridges, components, is_2ec
@@ -245,14 +245,12 @@ def _pipeline(g: Graph, h: FrozenSet[int],
 
 
 def _has_large_component(g: Graph, h: FrozenSet[int]) -> bool:
-    sub = g.spanning(h)
-    return any(sub.induced(comp).m >= 8 for comp in components(sub))
+    return any(len(p.edges) >= 8 for p in pieces(g, h))
 
 
 def structured_solver(g: Graph,
                       trace: Optional[SolveTrace] = None,
                       max_guesses: Optional[int] = None,
-                      first_feasible: bool = False,
                       deadline: Optional[float] = None) -> FrozenSet[int]:
     """Solve one structured instance: guessed cover, then canonicalize,
     bridge-cover, and glue; best solution over the guesses.
@@ -289,10 +287,6 @@ def structured_solver(g: Graph,
         if 4 * (len(best) + 2) <= 5 * len(h0):
             # the ratio certificate already holds against the unconstrained
             # cover lower bound, so no further guess can be needed
-            break
-        if first_feasible:
-            if trace is not None:
-                trace.certified = False
             break
     if trace is not None:
         trace.guesses_tried += tried
@@ -389,7 +383,6 @@ def solve(g: Graph,
           alpha: Fraction = ALPHA_DEFAULT,
           seed: Optional[int] = None,
           max_guesses: Optional[int] = None,
-          first_feasible: bool = False,
           deadline: Optional[float] = None,
           want_trace: bool = False
           ) -> Tuple[FrozenSet[int], Dict[str, object]]:
@@ -404,7 +397,6 @@ def solve(g: Graph,
 
     def alg(sub: Graph) -> FrozenSet[int]:
         return structured_solver(sub, trace=tr, max_guesses=max_guesses,
-                                 first_feasible=first_feasible,
                                  deadline=deadline)
 
     sol, rtrace = reduce(g, alpha=alpha, alg=alg, deadline=deadline)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from twoec.graph import Edge, Graph
+from twoec.graph import Edge, Graph, bridges
 
 
 def random_2ec_graph(rng, n, extra=None):
@@ -42,6 +42,31 @@ def random_multigraph(rng, n, m):
     """Random multigraph on 0..n-1 with m edges; loops and parallels allowed."""
     return Graph(range(n), [Edge(i, rng.randrange(n), rng.randrange(n))
                             for i in range(m)])
+
+
+def random_covers(seed, count=200):
+    """Seeded (g, h) pairs: a multigraph with loops and parallel edges on
+    arbitrary vertex ids, edge ids in random order, and a random subset h
+    of its edges; at least 30 of the h have a bridge, a lone vertex and a
+    loop each."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        vs = rng.sample(range(3 * n), n)
+        pairs = [(rng.choice(vs), rng.choice(vs))
+                 for _ in range(rng.randint(0, 2 * n + 2))]
+        ids = rng.sample(range(4 * len(pairs) + 1), len(pairs))
+        g = Graph(vs, [Edge(i, a, b) for i, (a, b) in zip(ids, pairs)])
+        out.append((g, frozenset(rng.sample(ids, rng.randint(0, len(ids))))))
+    kinds = {"bridge": 0, "lone": 0, "loop": 0}
+    for g, h in out:
+        sub = g.spanning(h)
+        kinds["bridge"] += bool(bridges(sub))
+        kinds["lone"] += any(sub.degree(v) == 0 for v in sub.vertices)
+        kinds["loop"] += any(e.is_loop() for e in sub.edges())
+    assert min(kinds.values()) >= 30, kinds
+    return out
 
 
 @st.composite

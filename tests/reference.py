@@ -34,12 +34,16 @@ outputs directly, so the tests can check the solver against them:
   DFS on vertex ids and `Edge` objects, with an edge stack, the cut scan
   that runs it on a built g - u for every u, and the 2EC blocks as one
   induced subgraph per component of g less its bridges; the solver's
-  versions run one DFS on integer positions and must give equal lists.
+  versions run one DFS on integer positions and must give equal lists,
+  and `cover.pieces` must give each component's `two_ec_blocks`.
+- `credits` and `cost`: the credit ledger of a cover, one entry per
+  component, 2EC block and bridge, read off `two_ec_blocks` of each
+  component; `cover.cover_cost` must give the same total.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
@@ -47,8 +51,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 from twoec import oracle
 from twoec.bridge_cover import TcTree, _reach_paths
 from twoec.errors import InfeasibleError
-from twoec.graph import (VIRTUAL_BASE, BlockDecomposition, Edge, Graph,
-                         components, connected_subsets, cut_vertices,
+from twoec.graph import (VIRTUAL_BASE, Edge, Graph, components,
+                         connected_subsets, cut_vertices,
                          find_irrelevant_edge, is_2ec, is_2vc)
 from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
 from twoec.oracle import (_below, _Certificates, _EdgeArrays, _with_uv,
@@ -489,6 +493,19 @@ def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
     return out
 
 
+@dataclass
+class BlockDecomposition:
+    """2EC blocks and bridges of a subgraph.
+
+    blocks: list of (vertex frozenset, edge frozenset), maximal 2EC pieces
+    with at least one edge. bridge_ids: the bridges. lonely: vertices on
+    bridges only (in no block).
+    """
+    blocks: List[Tuple[FrozenSet[int], FrozenSet[int]]]
+    bridge_ids: FrozenSet[int]
+    lonely: FrozenSet[int]
+
+
 def two_ec_blocks(g: Graph) -> BlockDecomposition:
     """2EC blocks as the components of g less its bridges, one induced
     subgraph each, sorted by smallest vertex."""
@@ -506,6 +523,45 @@ def two_ec_blocks(g: Graph) -> BlockDecomposition:
         blocks.append((frozenset(comp), sub.edge_set()))
     blocks.sort(key=lambda b: min(b[0]))
     return BlockDecomposition(blocks, frozenset(br), frozenset(lonely))
+
+
+# -- the credit ledger of a cover -----------------------------------------
+
+
+@dataclass
+class CreditLedger:
+    component_credits: Dict[int, Fraction] = field(default_factory=dict)
+    block_credits: Dict[Tuple[int, int], Fraction] = field(default_factory=dict)
+    bridge_credits: Dict[int, Fraction] = field(default_factory=dict)
+
+    @property
+    def total(self) -> Fraction:
+        return (sum(self.component_credits.values(), Fraction(0))
+                + sum(self.block_credits.values(), Fraction(0))
+                + sum(self.bridge_credits.values(), Fraction(0)))
+
+
+def credits(s: Graph) -> CreditLedger:
+    """Credit ledger for a 2-edge cover given as its (spanning) subgraph."""
+    led = CreditLedger()
+    for comp in components(s):
+        key = comp[0]
+        sub = s.induced(comp)
+        if is_2ec(sub):
+            # m/4 for a short cycle-like component, capped at 2
+            led.component_credits[key] = min(Fraction(sub.m, 4), Fraction(2))
+        else:
+            led.component_credits[key] = Fraction(1)
+            dec = two_ec_blocks(sub)
+            for vs, _es in dec.blocks:
+                led.block_credits[(key, min(vs))] = Fraction(1)
+            for beid in dec.bridge_ids:
+                led.bridge_credits[beid] = Fraction(1, 4)
+    return led
+
+
+def cost(s: Graph) -> Fraction:
+    return Fraction(s.m) + credits(s).total
 
 
 # -- type classification at a 2-cut pair ------------------------------------

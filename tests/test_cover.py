@@ -3,12 +3,12 @@ from itertools import islice
 
 import pytest
 
-from twoec.cover import (canonical_violations, canonicalize, cost,
-                         cover_cost, credits, enumerate_guesses,
-                         initial_cover, is_tf2ec)
-from twoec.graph import Graph, components, is_2ec
+from twoec.cover import (canonical_violations, canonicalize, cover_cost,
+                         enumerate_guesses, initial_cover, is_tf2ec)
+from twoec.graph import Graph, components
 
-from conftest import gnp_2ec, random_2ec_graph
+import reference
+from conftest import gnp_2ec, random_2ec_graph, random_covers
 from reference import subdivided_cover
 
 
@@ -79,33 +79,42 @@ class TestInitialCover:
                 assert len(comp) >= 8
 
 
+def whole(g):
+    """cover_cost of g as a cover of itself."""
+    return cover_cost(g, g.edge_set())
+
+
 class TestCredits:
     def test_five_cycle(self):
-        s = Graph.from_edge_list(5, cycle(5))
-        led = credits(s)
-        assert led.total == Fraction(5, 4)
+        assert whole(Graph.from_edge_list(5, cycle(5))) == 5 + Fraction(5, 4)
 
     def test_nine_edge_component(self):
         s = Graph.from_edge_list(8, cycle(8) + [(0, 4)])
-        assert credits(s).total == Fraction(2)
+        assert whole(s) == 9 + Fraction(2)
 
     def test_complex_two_blocks_one_bridge(self):
         pairs = cycle(6) + cycle(6, offset=6) + [(0, 6)]
         s = Graph.from_edge_list(12, pairs)
-        led = credits(s)
+        led = reference.credits(s)
         assert led.component_credits == {0: Fraction(1)}
         assert sorted(led.block_credits.values()) == [Fraction(1), Fraction(1)]
         assert list(led.bridge_credits.values()) == [Fraction(1, 4)]
-        assert led.total == Fraction(13, 4)
+        assert whole(s) == 13 + Fraction(13, 4)
 
     def test_cost_examples(self):
         two_squares = Graph.from_edge_list(8, cycle(4) + cycle(4, offset=4))
-        assert cost(two_squares) == Fraction(10)
+        assert whole(two_squares) == Fraction(10)
         eight = Graph.from_edge_list(8, cycle(8))
-        assert cost(eight) == Fraction(10)
+        assert whole(eight) == Fraction(10)
         mixed = Graph.from_edge_list(14, cycle(6) + cycle(8, offset=6))
-        assert cost(mixed) == Fraction(35, 2)
-        assert cost(mixed) <= Fraction(5, 4) * 14
+        assert whole(mixed) == Fraction(35, 2)
+        assert whole(mixed) <= Fraction(5, 4) * 14
+
+
+class TestPieces:
+    def test_cost_matches_ledger(self):
+        for g, h in random_covers(20261019):
+            assert cover_cost(g, h) == reference.cost(g.spanning(h))
 
 
 class TestCanonicalize:
@@ -131,7 +140,7 @@ class TestCanonicalize:
         sub = g.spanning(cc)
         assert len(components(sub)) == 1
         assert not canonical_violations(g, cc)
-        assert cost(sub) <= Fraction(5, 4) * len(cc)
+        assert cover_cost(g, cc) <= Fraction(5, 4) * len(cc)
 
     def test_cost_bound_on_random_covers(self, rng):
         for _ in range(8):

@@ -10,11 +10,13 @@ from twoec.graph import (
     Edge, Graph, biconnected_blocks, bridges, component_graph, components,
     connected_subsets, cut_vertices, find_cross_matching,
     find_irrelevant_edge, hamiltonian_path, is_2ec, is_2vc, is_connected,
-    path_avoiding, two_ec_blocks, two_vertex_cuts, _blocks, _index, _is_2ec,
+    path_avoiding, two_vertex_cuts, _blocks, _index, _is_2ec,
 )
+from twoec.cover import pieces
 
 import reference
-from conftest import random_2ec_graph, random_multigraph, small_graphs
+from conftest import (random_2ec_graph, random_covers, random_multigraph,
+                      small_graphs)
 
 
 def c_n(n):
@@ -106,10 +108,10 @@ class TestConnectivity:
         # two triangles joined by one bridge
         g = Graph.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
                                      (5, 3), (0, 3)])
-        dec = two_ec_blocks(g)
-        assert len(dec.blocks) == 2
-        assert dec.bridge_ids == frozenset({6})
-        assert dec.lonely == frozenset()
+        (p,) = pieces(g, g.edge_set())
+        assert len(p.blocks) == 2
+        assert p.bridges == frozenset({6})
+        assert p.lonely == frozenset()
 
     def test_blocks_partition_edges(self, rng):
         for _ in range(25):
@@ -117,13 +119,13 @@ class TestConnectivity:
             g = random_2ec_graph(rng, n)
             drop = rng.sample(g.edge_ids(), rng.randint(0, g.m // 3))
             h = g.without_edges(drop)
-            dec = two_ec_blocks(h)
-            covered = set(dec.bridge_ids)
-            for _, es in dec.blocks:
-                assert not (covered & es)
-                covered |= es
-                assert is_2ec(h.subgraph(es))
-            assert covered == set(h.edge_ids())
+            for p in pieces(g, h.edge_set()):
+                covered = set(p.bridges)
+                for _, es in p.blocks:
+                    assert not (covered & es)
+                    covered |= es
+                    assert is_2ec(h.subgraph(es))
+                assert covered == p.edges
 
 
 class TestCuts:
@@ -236,8 +238,19 @@ class TestBlockReference:
             assert two_vertex_cuts(g) == reference.two_vertex_cuts(g)
 
     def test_two_ec_blocks(self):
-        for g in self.graphs():
-            assert two_ec_blocks(g) == reference.two_ec_blocks(g)
+        # `cover.pieces` splits a cover into its components, each with the
+        # 2EC blocks, bridges and lone vertices of its induced subgraph
+        for g, h in random_covers(20261019):
+            sub = g.spanning(h)
+            ps = pieces(g, h)
+            assert [p.vertices for p in ps] == [tuple(c)
+                                                for c in components(sub)]
+            for p in ps:
+                cs = sub.induced(p.vertices)
+                dec = reference.two_ec_blocks(cs)
+                assert p.edges == cs.edge_set()
+                assert (p.bridges, list(p.blocks), p.lonely) == \
+                    (dec.bridge_ids, dec.blocks, dec.lonely)
 
     def test_is_2ec(self):
         for g in self.graphs():

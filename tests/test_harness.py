@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoec import cli, gluing, harness, oracle
+from twoec import bridge_cover, cli, gluing, harness, oracle
 from twoec.cli import main
 from twoec.errors import (InfeasibleError, InternalContradiction,
                           OracleTimeout, ParseError)
@@ -210,7 +210,6 @@ class TestSolve:
     @pytest.mark.parametrize("flags,want", [
         ({}, (2, True, 23)),
         ({"max_guesses": 1}, (1, False, 26)),
-        ({"first_feasible": True}, (1, False, 26)),
     ])
     def test_guess_limits(self, structured_shapes, flags, want):
         # the ring 4.5.5.4.4 is dispatched whole and certifies its solution
@@ -279,6 +278,29 @@ class TestCli:
         assert code == 4
         head, text = err.split("\n", 1)
         assert head.startswith("internal: merge rule adjacent_merge broke")
+        bad = parse_instance(text)
+        assert (bad.n, bad.m) == (22, 33)
+        monkeypatch.undo()
+        replay = tmp_path / "replay.txt"
+        replay.write_text(text)
+        code, _, err = self.run(["solve", str(replay)], capsys)
+        assert code == 0, err
+
+    def test_bridge_cover_counterexample_replays(self, tmp_path, capsys,
+                                                 monkeypatch,
+                                                 structured_shapes):
+        # the ring 4.5.5.4.4 makes one bridge-cover step; with no cheap
+        # path on offer the step finds a block in reach and raises, and
+        # stderr carries the host graph, not bare tree nodes, as an
+        # instance file
+        ring = structured_shapes["ring-4.5.5.4.4-s1"]
+        inst = tmp_path / "ring.txt"
+        inst.write_text(format_instance(ring))
+        monkeypatch.setattr(bridge_cover, "find_cheap_path", lambda tc: None)
+        code, _, err = self.run(["solve", str(inst)], capsys)
+        assert code == 4
+        head, text = err.split("\n", 1)
+        assert head == "internal: block reachable yet no cheap path"
         bad = parse_instance(text)
         assert (bad.n, bad.m) == (22, 33)
         monkeypatch.undo()
@@ -397,14 +419,16 @@ class TestCli:
         assert json.loads(out)["size"] == 3
 
     def test_pipeline_flags_only_where_read(self, tmp_path, capsys):
-        # verify and oracle run no pipeline, so its flags are usage errors
+        # verify and oracle run no pipeline, so its flags are usage errors;
+        # --first-feasible was --max-guesses 1 and is gone
         inst = tmp_path / "i.txt"
         self.run(["gen", "gnp_2ec", "--n", "10", "--seed", "1",
                   "--out", str(inst)], capsys)
         sol = tmp_path / "s.txt"
         sol.write_text("0")
         for argv in (["verify", str(inst), str(sol), "--alpha", "5/4"],
-                     ["oracle", str(inst), "--trace"]):
+                     ["oracle", str(inst), "--trace"],
+                     ["solve", str(inst), "--first-feasible"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

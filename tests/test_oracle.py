@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import twoec
 from twoec import oracle
 from twoec.graph import (Edge, Graph, biconnected_blocks, connected_subsets,
-                         is_2ec, components, two_ec_blocks)
+                         is_2ec, components)
 from twoec.harness import generate, solve
 from twoec.oracle import (
     find_contractible_subgraph, min_2ecss, min_inner_edges, min_tf2ec,
@@ -25,7 +25,8 @@ from twoec.errors import OracleBudgetError, OracleTimeout
 from conftest import random_2ec_graph, random_multigraph, small_graphs
 from reference import (check_cover_matching_identity, classify_type,
                        contractible_by_scan, is_alpha_contractible,
-                       max_tf2matching, min_inner_2ec, two_ends_each)
+                       max_tf2matching, min_inner_2ec, two_ec_blocks,
+                       two_ends_each)
 
 
 def c_n(n):

@@ -15,9 +15,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .errors import InternalContradiction
 from .cover import canonical_violations, component_credit, cover_cost, pieces
-from .graph import (ComponentGraph, Edge, FlowNet, Graph, _blocks, _index,
-                    component_graph, find_cross_matching, hamiltonian_path,
-                    is_2ec, path_avoiding, path_edge_ids)
+from .graph import (Edge, FlowNet, Graph, _blocks, _index,
+                    find_cross_matching, hamiltonian_path, is_2ec,
+                    path_avoiding, path_edge_ids)
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,30 @@ class GlueMove:
     removed: FrozenSet[int]
     cost_delta: Fraction
     rule: str
+
+
+@dataclass
+class ComponentGraph:
+    """Contraction of g where each component of the edge set s is one node.
+
+    Nodes are named by the smallest original vertex of their component.
+    Edges keep original g ids; loops dropped, parallels kept.
+    """
+    graph: Graph
+    node_vertices: Dict[int, FrozenSet[int]]   # node -> original vertices
+    vertex_node: Dict[int, int]                # original vertex -> node
+
+    def node_of(self, v: int) -> int:
+        return self.vertex_node[v]
+
+
+def component_graph(g: Graph, s: FrozenSet[int]) -> ComponentGraph:
+    """The components of s as `cover.pieces` splits them, contracted."""
+    ps = pieces(g, s)
+    vertex_node = {v: p.vertices[0] for p in ps for v in p.vertices}
+    return ComponentGraph(g.quotient(vertex_node),
+                          {p.vertices[0]: frozenset(p.vertices) for p in ps},
+                          vertex_node)
 
 
 @dataclass

@@ -10,11 +10,13 @@ positions of `_index` lists, builds no `Edge` or set, and yields each
 block as it closes. Its blocks give the bridges (one-edge blocks), the
 cut vertices (vertices in two or more blocks), and, with a vertex u
 skipped in place of a built g - u, whether each {u, v} is a 2-vertex cut
-and of which class. Over a mask of present edges, `_is_2ec` is also the
-exact oracle's 2EC test: the branch and bound removes and restores edges
-in the mask and stops the DFS at the first bridge. `connected_subsets`
-enumerates small connected vertex sets for the guess enumeration; its
-order is the one the contractibility search tests its sets in.
+and of which class. Over a mask of present edges, `_is_2ec` tests 2EC
+and stops the DFS at the first bridge. The exact oracle removes edges
+from a 2EC mask one at a time, and `_two_paths` tests each removal
+locally: the rest stays 2EC exactly when two edge-disjoint paths still
+join the removed edge's ends. `connected_subsets` enumerates small
+connected vertex sets for the guess enumeration; its order is the one
+the contractibility search tests its sets in.
 """
 
 from __future__ import annotations
@@ -300,6 +302,51 @@ def _is_2ec(nb: List[List[Tuple[int, int]]],
     return below >= len(nb) - 1
 
 
+def _two_paths(nb: List[List[Tuple[int, int]]], present: List[bool],
+               a: int, b: int) -> bool:
+    """Do the present edges hold two edge-disjoint a-b paths? Always for
+    a = b. Two augmenting paths of unit capacity (Ford-Fulkerson): a BFS
+    finds one path, then a second search may walk each edge of that path
+    only from its head back to its tail.
+
+    It decides whether H - ab is 2EC for a 2EC mask H less an edge ab:
+    H - ab is connected, and a bridge f of it separates a from b, since
+    H - f is connected (Menger)."""
+    if a == b:
+        return True
+    n = len(nb)
+    up, into = [-1] * n, [-1] * n   # first path: parent and edge position
+    up[a] = a
+    queue = [a]
+    for x in queue:
+        for w, j in nb[x]:
+            if up[w] < 0 and present[j]:
+                up[w], into[w] = x, j
+                if w == b:
+                    break
+                queue.append(w)
+        else:
+            continue
+        break
+    else:
+        return False
+    tail = [-1] * len(present)      # the tail of each edge of the path
+    x = b
+    while x != a:
+        tail[into[x]] = x = up[x]
+    seen = [False] * n
+    seen[a] = True
+    queue = [a]
+    for x in queue:
+        for w, j in nb[x]:
+            if not seen[w] and present[j] and tail[j] != x:
+                if w == b:
+                    return True
+                seen[w] = True
+                queue.append(w)
+    return False
+
+
 def biconnected_blocks(g: Graph) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
     """Blocks of g as (vertex set, edge ids), in the order the DFS closes them.
 
@@ -421,31 +468,6 @@ def connected_subsets(g: Graph, kmax: int) -> Iterator[FrozenSet[int]]:
                 if new_ext:
                     stack.append([grown, new_ext, 0, set(banned)])
             banned.add(u)
-
-
-@dataclass
-class ComponentGraph:
-    """Contraction of g where each component of the edge set s is one node.
-
-    Nodes are named by the smallest original vertex of their component.
-    Edges keep original g ids; loops dropped, parallels kept.
-    """
-    graph: Graph
-    node_vertices: Dict[int, FrozenSet[int]]   # node -> original vertices
-    vertex_node: Dict[int, int]                # original vertex -> node
-
-    def node_of(self, v: int) -> int:
-        return self.vertex_node[v]
-
-
-def component_graph(g: Graph, s_edges: Iterable[int]) -> ComponentGraph:
-    node_vertices: Dict[int, FrozenSet[int]] = {}
-    vertex_node: Dict[int, int] = {}
-    for comp in components(g.spanning(s_edges)):
-        node_vertices[comp[0]] = frozenset(comp)
-        for v in comp:
-            vertex_node[v] = comp[0]
-    return ComponentGraph(g.quotient(vertex_node), node_vertices, vertex_node)
 
 
 def hamiltonian_path(g: Graph, w: Iterable[int], u: int, v: int) -> Optional[List[int]]:

@@ -12,9 +12,10 @@ edge-id order, so its first hit is the (size, lex) minimum, on an
 explicit frame stack that never recurses. It runs on an `_EdgeArrays`:
 the `graph._index` lists of g, the ends of each edge position, and a
 present mask with the degrees it implies. A removal clears the edge's
-mask bit, and the 2EC test after it is `graph._is_2ec` over the mask,
-the package's one lowpoint DFS, which stops at the first bridge. Its
-callers differ in three ways, each an argument:
+mask bit. The present edges are 2EC before it, so the 2EC test after
+it is `graph._two_paths`: two edge-disjoint paths between the removed
+edge's ends, two breadth-first searches in place of a lowpoint DFS over
+the whole graph. Its callers differ in three ways, each an argument:
 
 - free edges: `min_inner_edges` and `opt_type` keep some edges without
   counting them (`min_2ecss` has none, `min_tf2ec` counts its forced
@@ -47,7 +48,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from .errors import OracleBudgetError, OracleTimeout
-from .graph import Edge, Graph, _index, _is_2ec, components, is_2ec
+from .graph import (Edge, Graph, _index, _is_2ec, _two_paths, components,
+                    is_2ec)
 
 
 # nodes the set search of `find_contractible_subgraph` may make per call
@@ -82,6 +84,12 @@ class _EdgeArrays:
             self.deg[self.eu[i]] += 1
             self.deg[self.ev[i]] += 1
 
+    def reset(self) -> None:
+        """Restore every removed edge."""
+        for i, p in enumerate(self.present):
+            if not p:
+                self.restore(i)
+
     def remove(self, i: int) -> None:
         self.present[i] = False
         self.deg[self.eu[i]] -= 1
@@ -105,7 +113,10 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
     (1 kept, 0 undecided, -1 removed; undecided edges count as removed)
     and the kept degrees. With `connected`, every removal must leave the
     present edges (kept and undecided) 2EC, the search fails at once when
-    all of them are not, and a lone vertex needs no degree.
+    all of them are not, and a lone vertex needs no degree. The present
+    edges are 2EC on entry (`graph._is_2ec`) and after every removal that
+    passes, and undoing a decision only restores edges, so a removal of
+    edge ab is tested by `graph._two_paths` between a and b.
 
     Iterative deepening on k = |K|, from the kept edges plus half the
     summed degree deficiency (an edge lowers it by at most two), with a
@@ -169,8 +180,9 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
     def branch(i: int, s: int) -> bool:
         frames.append((i, len(trail), s))
         fix(i, s)
+        # the present edges were 2EC before i was removed
         return settle([eu[i], ev[i]]) and (
-            s == 1 or not connected or _is_2ec(nb, present))
+            s == 1 or not connected or _two_paths(nb, present, eu[i], ev[i]))
 
     def search(k: int) -> bool:
         nonlocal nodes
@@ -409,32 +421,40 @@ class _Certificates:
         self.g = g
         self.deadline = deadline
         self.pool: List[Dict[int, List[int]]] = []
+        self.arr = _EdgeArrays(g)  # every H is built on it, then it is reset
         asc = list(range(g.m))  # array positions follow ascending edge ids
-        self._add(_EdgeArrays(g), asc)
-        self._add(_EdgeArrays(g), asc[::-1])
+        self._add(asc)
+        self._add(asc[::-1])
 
     def add_witness(self, inner: Sequence[int], kept: FrozenSet[int]) -> None:
         """Add a sparsification of (g − inner) ∪ kept, a 2EC spanning
         subgraph that the exact search has just found."""
-        arr = _EdgeArrays(self.g)
+        arr = self.arr
         for eid in inner:
             if eid not in kept:
                 arr.remove(arr.pos[eid])
-        self._add(arr, [i for i in range(self.g.m) if arr.present[i]])
+        self._add([i for i in range(self.g.m) if arr.present[i]])
 
-    def _add(self, arr: _EdgeArrays, order: List[int]) -> None:
+    def _add(self, order: List[int]) -> None:
         # reverse delete: drop each edge in turn unless that breaks 2EC
-        # (g has at least three vertices, so an end of degree < 2 does)
+        # (g has at least three vertices, so an end of degree < 2 does).
+        # The present edges stay 2EC, so two edge-disjoint paths between
+        # the dropped edge's ends test a drop; none is tried unless they
+        # are 2EC to begin with.
+        arr = self.arr
         nb, present, deg, eu, ev = arr.nb, arr.present, arr.deg, arr.eu, arr.ev
-        for i in order:
-            _check_deadline(self.deadline)
-            arr.remove(i)
-            if deg[eu[i]] < 2 or deg[ev[i]] < 2 or not _is_2ec(nb, present):
-                arr.restore(i)
+        if _is_2ec(nb, present):
+            for i in order:
+                _check_deadline(self.deadline)
+                arr.remove(i)
+                if deg[eu[i]] < 2 or deg[ev[i]] < 2 or \
+                        not _two_paths(nb, present, eu[i], ev[i]):
+                    arr.restore(i)
         verts = self.g.vertices
         self.pool.append({verts[x]: [verts[w] for w, i in row
                                      if present[i] and w != x]
                           for x, row in enumerate(nb)})
+        arr.reset()
 
     def refute(self, w: FrozenSet[int], cap: int) -> bool:
         """Does some H keep at most cap edges of g[W]?"""

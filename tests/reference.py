@@ -39,6 +39,9 @@ outputs directly, so the tests can check the solver against them:
 - `credits` and `cost`: the credit ledger of a cover, one entry per
   component, 2EC block and bridge, read off `two_ec_blocks` of each
   component; `cover.cover_cost` must give the same total.
+- `component_graph`: a cover's components found by their own search and
+  contracted; the glue step's `gluing.component_graph`, built from
+  `cover.pieces`, must give the same contraction and node maps.
 """
 
 import math
@@ -51,6 +54,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 from twoec import oracle
 from twoec.bridge_cover import TcTree, _reach_paths
 from twoec.errors import InfeasibleError
+from twoec.gluing import ComponentGraph
 from twoec.graph import (VIRTUAL_BASE, Edge, Graph, components,
                          connected_subsets, cut_vertices,
                          find_irrelevant_edge, is_2ec, is_2vc)
@@ -562,6 +566,18 @@ def credits(s: Graph) -> CreditLedger:
 
 def cost(s: Graph) -> Fraction:
     return Fraction(s.m) + credits(s).total
+
+
+def component_graph(g: Graph, s_edges: Iterable[int]) -> ComponentGraph:
+    """The components of g.spanning(s_edges), each contracted to its
+    smallest vertex."""
+    node_vertices: Dict[int, FrozenSet[int]] = {}
+    vertex_node: Dict[int, int] = {}
+    for comp in components(g.spanning(s_edges)):
+        node_vertices[comp[0]] = frozenset(comp)
+        for v in comp:
+            vertex_node[v] = comp[0]
+    return ComponentGraph(g.quotient(vertex_node), node_vertices, vertex_node)
 
 
 # -- type classification at a 2-cut pair ------------------------------------

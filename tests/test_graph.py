@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 from twoec.graph import (
-    Edge, Graph, biconnected_blocks, bridges, component_graph, components,
+    Edge, Graph, biconnected_blocks, bridges, components,
     connected_subsets, cut_vertices, find_cross_matching,
     find_irrelevant_edge, hamiltonian_path, is_2ec, is_2vc, is_connected,
-    path_avoiding, two_vertex_cuts, _blocks, _index, _is_2ec,
+    path_avoiding, two_vertex_cuts, _blocks, _index, _is_2ec, _two_paths,
 )
 from twoec.cover import pieces
+from twoec.gluing import component_graph
 
 import reference
 from conftest import (random_2ec_graph, random_covers, random_multigraph,
@@ -279,6 +280,39 @@ class TestBlockReference:
                 kinds["disconnected"] += not is_connected(kept)
         assert min(kinds.values()) >= 100, kinds
 
+    def test_two_paths_after_one_removal(self):
+        # a 2EC mask less one present edge ab is 2EC exactly when two
+        # edge-disjoint a-b paths remain: on seeded multigraphs (a random
+        # cycle through every vertex plus random edges, loops and parallel
+        # edges among them) and masks thinned while they stay 2EC
+        rng = random.Random(20261020)
+        kinds = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            vs = rng.sample(range(3 * n), n)
+            pairs = list(zip(vs, vs[1:] + vs[:1])) if n > 1 else []
+            pairs += [(rng.choice(vs), rng.choice(vs))
+                      for _ in range(rng.randint(0, 2 * n))]
+            ids = rng.sample(range(4 * len(pairs) + 1), len(pairs))
+            g = Graph(vs, [Edge(i, a, b) for i, (a, b) in zip(ids, pairs)])
+            nb, pos = _index(g), {v: x for x, v in enumerate(g.vertices)}
+            ends = [(pos[e.u], pos[e.v]) for e in g.edges()]
+            present = [True] * g.m
+            assert _is_2ec(nb, present)
+            for j in rng.sample(range(g.m), g.m):
+                present[j] = rng.random() < 0.5
+                if not _is_2ec(nb, present):
+                    present[j] = True
+            for j in range(g.m):
+                if present[j]:
+                    present[j] = False
+                    want = _is_2ec(nb, present)
+                    assert _two_paths(nb, present, *ends[j]) == want
+                    present[j] = True
+                    kinds[want] += 1
+                    kinds["loop"] += ends[j][0] == ends[j][1]
+        assert min(kinds.values()) >= 100, kinds
+
     def test_blocks_closing_order(self):
         # the blocks of g - skip, in the order the DFS closes them
         for g in self.graphs():
@@ -357,15 +391,25 @@ class TestComponentGraph:
         # two triangles + two cross edges
         g = Graph.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
                                      (5, 3), (0, 3), (1, 4)])
-        cg = component_graph(g, [0, 1, 2, 3, 4, 5])
+        cg = component_graph(g, frozenset([0, 1, 2, 3, 4, 5]))
         assert set(cg.graph.vertices) == {0, 3}
         assert cg.graph.m == 2
         assert cg.node_of(4) == 3
 
     def test_loops_dropped(self):
         g = c_n(4)
-        cg = component_graph(g, [0, 1, 2, 3])
+        cg = component_graph(g, frozenset([0, 1, 2, 3]))
         assert cg.graph.m == 0 and cg.graph.n == 1
+
+    def test_matches_reference(self):
+        # built from `cover.pieces` against a components search of its own
+        for g, h in random_covers(20261020):
+            cg, want = component_graph(g, h), reference.component_graph(g, h)
+            assert cg.node_vertices == want.node_vertices
+            assert list(cg.vertex_node.items()) == \
+                list(want.vertex_node.items())
+            assert cg.graph.vertices == want.graph.vertices
+            assert cg.graph.edges() == want.graph.edges()
 
 
 class TestHamiltonianPath:

@@ -543,6 +543,47 @@ class TestContractibility:
                     assert not is_alpha_contractible(g, c, alpha)
         assert found > 20 and checked > 500
 
+    def test_certificates_reverse_delete(self):
+        # each H of the pool is a reverse delete that tests every drop on
+        # the built graph, from g in ascending and descending id order and
+        # from (g - inner) | kept for a witness; a start that is not 2EC
+        # keeps every edge, even where a drop would leave two paths between
+        # the dropped edge's ends (two K4s joined by a bridge)
+        def reverse_delete(g, keep, order):
+            keep = set(keep)
+            if is_2ec(g.spanning(keep)):
+                for eid in order:
+                    if is_2ec(g.spanning(keep - {eid})):
+                        keep.discard(eid)
+            return {v: [e.other(v) for e in g.incident(v)
+                        if e.id in keep and not e.is_loop()]
+                    for v in g.vertices}
+
+        rng = random.Random(20261020)
+        k4s = Graph.from_edge_list(8, [(a + o, b + o) for o in (0, 4) for a, b
+                                       in itertools.combinations(range(4), 2)]
+                                   + [(3, 4)])
+        graphs = [k4s] + [random_2ec_multigraph(rng, rng.randint(3, 9))
+                          for _ in range(60)] + [
+            random_multigraph(rng, n, rng.randint(n, 3 * n))
+            for n in (rng.randint(3, 9) for _ in range(60))]
+        kinds = Counter()
+        for g in graphs:
+            certs = oracle._Certificates(g, None)
+            ids = g.edge_ids()
+            starts = [(set(ids), ids), (set(ids), ids[::-1])]
+            for _ in range(3):
+                inner = rng.sample(ids, rng.randint(0, len(ids)))
+                kept = frozenset(rng.sample(inner, rng.randint(0, len(inner))))
+                certs.add_witness(inner, kept)
+                keep = set(ids) - set(inner) | kept
+                starts.append((keep, [i for i in ids if i in keep]))
+            assert certs.pool == [reverse_delete(g, keep, order)
+                                  for keep, order in starts]
+            for keep, _order in starts:
+                kinds[is_2ec(g.spanning(keep))] += 1
+        assert min(kinds.values()) >= 100, kinds
+
     def test_nothing_to_find_below_three_vertices(self, monkeypatch):
         # the C4 above is contractible while 2/(alpha-1) >= 4; once that
         # is below 3 no set is enumerated, so a zero budget holds

@@ -1,7 +1,8 @@
 """Command-line interface: gen, solve, verify, oracle, bench, compare.
 
 Exit codes: 0 success, 1 verification mismatch, 2 infeasible input,
-3 parse error, 4 internal invariant violation or oracle budget exhausted.
+3 parse error, 4 internal invariant violation ("internal: ...") or oracle
+budget exhausted ("budget: ...").
 """
 
 import argparse
@@ -243,7 +244,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (InternalContradiction, OracleBudgetError, OracleTimeout) as exc:
+    except (OracleBudgetError, OracleTimeout) as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except InternalContradiction as exc:
         print(f"internal: {exc}", file=sys.stderr)
         cex = getattr(exc, "counterexample", None)
         if isinstance(cex, tuple) and cex and isinstance(cex[0], Graph):

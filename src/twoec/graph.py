@@ -7,10 +7,12 @@ choices elsewhere in the package resolve to the smallest id.
 
 `_blocks` is the one lowpoint DFS in the package: it runs over the integer
 positions of `_index` lists, builds no `Edge` or set, and yields each
-block as it closes. Its blocks give the bridges (one-edge blocks), the
-cut vertices (vertices in two or more blocks), and, with a vertex u
-skipped in place of a built g - u, whether each {u, v} is a 2-vertex cut
-and of which class. Over a mask of present edges, `_is_2ec` tests 2EC
+block as it closes. Its blocks give the bridges (one-edge blocks) and
+the cut vertices (vertices in two or more blocks). `two_vertex_cuts`
+takes a 2-connected g only: it suppresses the vertices with two edge
+ends into the edges of a branch graph B and runs the DFS once per
+vertex u of B with u skipped (no B - u is built), so its cost follows
+the branch vertices, not n. Over a mask of present edges, `_is_2ec` tests 2EC
 and stops the DFS at the first bridge. The exact oracle removes edges
 from a 2EC mask one at a time, and `_two_paths` tests each removal
 locally: the rest stays 2EC exactly when two edge-disjoint paths still
@@ -389,32 +391,127 @@ def is_2vc(g: Graph) -> bool:
 
 
 def two_vertex_cuts(g: Graph) -> List[Tuple[Tuple[int, int], str]]:
-    """All 2-vertex cuts with classification 'isolating' / 'non_isolating'.
+    """All 2-vertex cuts of a 2-connected g (n >= 3, connected, no cut
+    vertex; ValueError otherwise, found by one block DFS of g), classified
+    'isolating' / 'non_isolating', pairs in lexicographic order.
 
-    {u,v} is a cut if g - {u,v} is disconnected; isolating means exactly two
-    components, one of them a single vertex. Pairs come in lexicographic
-    order. g is indexed once; one block DFS with u skipped (no g - u is
-    built) classifies every v: g - {u,v} has spare + count[v] components,
-    where count[v] is the number of blocks holding v and spare, the
-    components of g - u less one, is n - 2 - sum(|B| - 1); x != v is alone
-    there when x lies in no block, or only in {v, x}.
+    {a,b} is a cut if g - {a,b} has k >= 2 components; isolating means
+    k = 2 and one of them a single vertex x, that is N(x) = {a,b}. A chain
+    vertex has two non-loop edge ends, to distinct neighbours; the rest are
+    branch vertices. If there are none, g is a cycle and the cuts are the
+    non-adjacent pairs. Otherwise each maximal path through chain vertices
+    (its inner vertices) is one edge of the branch graph B, a loopless
+    multigraph that is 2-connected, so bridgeless, and k is read off B:
+    - branch u, v: the blocks of B - u that hold v (one block DFS of B - u
+      per branch u), plus one per chain with inner vertices from u to v;
+    - branch u, inner x of chain c: 2 when c ends at u and x is not next to
+      u, or when c is a bridge of B - u;
+    - inner x, y of chains c != d: 2 when {c, d} is a 2-edge cut of B, that
+      is when their cycle-space labels (one bit per non-tree edge of a BFS
+      tree; a tree edge has the XOR of the bits of the cycles through it)
+      are equal;
+    - inner x, y of one chain: 2 when a vertex lies between them.
+    Cost: O(n + m) plus O(b (b + m_B)) for b branch vertices and m_B edges
+    of B, plus the sort of the pairs found.
     """
-    out = []
     vs, n = g.vertices, g.n
     nb = _index(g)
-    for u in range(n):
-        blocks = list(_blocks(nb, u))
-        count = Counter(x for b in blocks for x in b)
-        leaf_of = {y for b in blocks if len(b) == 2
-                   for x in b if count[x] == 1 for y in b if y != x}
-        spare = n - 2 - sum(len(b) - 1 for b in blocks)
-        lonely = n - 1 - len(count)   # vertices of g - u in no block
-        for v in range(u + 1, n):
-            k = spare + count[v]
-            if k >= 2:
-                alone = v in leaf_of or lonely > (count[v] == 0)
-                out.append(((vs[u], vs[v]), "isolating" if k == 2 and alone
-                            else "non_isolating"))
+    if n < 3 or [len(b) for b in _blocks(nb)] != [n]:
+        raise ValueError("two_vertex_cuts needs a 2-connected graph")
+    far = [[w for w, _j in row if w != x] for x, row in enumerate(nb)]
+    # a pair (a, b), a < b, is the key a * n + b; with k = 2 it isolates
+    # when some x has N(x) = {a, b}
+    iso = {min(f) * n + max(f) for f in map(set, far) if len(f) == 2}
+    chain = [len(f) == 2 and f[0] != f[1] for f in far]
+    branch = [x for x in range(n) if not chain[x]]
+    cut: List[int] = []
+    many: Set[int] = set()   # keys with k > 2
+    if not branch:
+        cut = [a * n + b for a in range(n) for b in range(a + 1, n)
+               if b not in far[a]]
+    # B-edge c has the chain vertices inner[c], in order from B-vertex
+    # ends[c][0] to ends[c][1]; nbb is B's `_index`, B-vertex i is branch[i]
+    bpos = {x: i for i, x in enumerate(branch)}
+    nbb: List[List[Tuple[int, int]]] = [[] for _ in branch]
+    inner: List[List[int]] = []
+    ends: List[Tuple[int, int]] = []
+    done = [False] * g.m
+    for p in branch:
+        for w, j in nb[p]:
+            if w == p or done[j]:
+                continue
+            path, x = [], w
+            while chain[x]:
+                path.append(x)
+                (y, i), (z, h) = [t for t in nb[x] if t[0] != x]
+                j, x = (h, z) if i == j else (i, y)
+            done[j] = True
+            c, a, b = len(inner), bpos[p], bpos[x]
+            inner.append(path)
+            ends.append((a, b))
+            nbb[a].append((b, c))
+            nbb[b].append((a, c))
+
+    def join(a: int, xs: List[int]) -> None:
+        cut.extend([a * n + x if a < x else x * n + a for x in xs])
+
+    for u, p in enumerate(branch):
+        # k - 1 per branch v: the blocks of B - u that v tops, less one at
+        # the DFS root (B - u is connected, so every other vertex lies in
+        # one block it does not top), plus the chains with inner vertices
+        # from u to v
+        more = {1 if u == 0 else 0: -1}
+        for blk in _blocks(nbb, u):
+            more[blk[0]] = more.get(blk[0], 0) + 1
+            if len(blk) == 2:
+                cs = [c for y, c in nbb[blk[1]] if y == blk[0]]
+                if len(cs) == 1 and inner[cs[0]]:   # a bridge of B - u
+                    join(p, inner[cs[0]])
+        for w, c in nbb[u]:
+            path = inner[c]
+            if path:
+                more[w] = more.get(w, 0) + 1
+                join(p, path[1:] if ends[c][0] == u else path[:-1])
+        for v, k in more.items():
+            if k > 0 and v > u:
+                cut.append(p * n + branch[v])
+                if k > 1:
+                    many.add(p * n + branch[v])
+    for path in inner:
+        for i, x in enumerate(path):
+            join(x, path[i + 2:])
+    label, acc = [0] * len(inner), [0] * len(branch)
+    order, tree = [0] if branch else [], [-1] * len(branch)
+    for x in order:                   # BFS tree of B from B-vertex 0
+        for w, c in nbb[x]:
+            if w and tree[w] < 0:
+                tree[w] = c
+                order.append(w)
+    intree = set(tree)
+    for c, (a, b) in enumerate(ends):
+        if c not in intree:
+            label[c] = 1 << c
+            acc[a] ^= label[c]
+            acc[b] ^= label[c]
+    for x in reversed(order[1:]):
+        c = tree[x]
+        label[c] = acc[x]
+        a, b = ends[c]
+        acc[a if b == x else b] ^= acc[x]
+    same: Dict[int, List[List[int]]] = {}
+    for c, path in enumerate(inner):
+        if path:
+            same.setdefault(label[c], []).append(path)
+    for paths in same.values():
+        for i, path in enumerate(paths):
+            for other in paths[i + 1:]:
+                for x in path:
+                    join(x, other)
+    out = []
+    for key in sorted(cut):
+        a, b = divmod(key, n)
+        out.append(((vs[a], vs[b]), "isolating" if key in iso
+                    and key not in many else "non_isolating"))
     return out
 
 

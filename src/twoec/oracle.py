@@ -56,9 +56,9 @@ from .graph import (Edge, Graph, _index, _is_2ec, _two_paths, components,
 SUBSET_BUDGET = 5_000_000
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
+def _check_deadline(deadline: Optional[float], search: str) -> None:
     if deadline is not None and time.monotonic() > deadline:
-        raise OracleTimeout("oracle time cap exceeded")
+        raise OracleTimeout(f"oracle time cap exceeded in the {search}")
 
 
 # -- the deepening search ---------------------------------------------------
@@ -126,7 +126,8 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
     of a vertex whose deficiency equals its undecided degree; they lie in
     every leaf below the node, so the order is unchanged.
     """
-    _check_deadline(deadline)
+    search = "exact 2EC search" if connected else "triangle-free cover search"
+    _check_deadline(deadline, search)
     eu, ev, nb, deg, present = arr.eu, arr.ev, arr.nb, arr.deg, arr.present
     m = len(eu)
     dmin = 0 if connected and arr.n < 2 else 2  # the degree each vertex needs
@@ -190,7 +191,7 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
         while True:
             nodes += 1
             if nodes % 256 == 0:
-                _check_deadline(deadline)
+                _check_deadline(deadline, search)
             # k is reachable: the bound allows it and enough edges are left
             if ok and nk + (dsum + 1) // 2 <= k <= nk + m - len(trail):
                 if nk == k:
@@ -375,7 +376,7 @@ def _two_ended_sets(g: Graph, far: Dict[int, List[int]], kmax: int,
             nodes += 1
             if nodes > SUBSET_BUDGET:
                 raise OracleBudgetError("set search budget exhausted")
-            _check_deadline(deadline)
+            _check_deadline(deadline, "contractibility set search")
             while short and sum(map(w.__contains__, far[short[0]])) >= 2:
                 short = short[1:]
             if not short and len(w) >= 3:
@@ -445,7 +446,7 @@ class _Certificates:
         nb, present, deg, eu, ev = arr.nb, arr.present, arr.deg, arr.eu, arr.ev
         if _is_2ec(nb, present):
             for i in order:
-                _check_deadline(self.deadline)
+                _check_deadline(self.deadline, "certificate pool")
                 arr.remove(i)
                 if deg[eu[i]] < 2 or deg[ev[i]] < 2 or \
                         not _two_paths(nb, present, eu[i], ev[i]):
@@ -516,7 +517,7 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
                  if not certs.refute(w, _below(len(w), alpha))]
         found.sort(key=lambda w: _preorder_key(nbrs, v, w))
         for w in found:
-            _check_deadline(deadline)
+            _check_deadline(deadline, "contractibility tests")
             if certs.refute(w, _below(len(w), alpha)):
                 continue
             sub = g.induced(w)

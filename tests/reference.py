@@ -32,10 +32,12 @@ outputs directly, so the tests can check the solver against them:
   vertex, against which the solver's one bottom-up pass is compared.
 - `biconnected_blocks`, `two_vertex_cuts` and `two_ec_blocks`: the block
   DFS on vertex ids and `Edge` objects, with an edge stack, the cut scan
-  that runs it on a built g - u for every u, and the 2EC blocks as one
-  induced subgraph per component of g less its bridges; the solver's
-  versions run one DFS on integer positions and must give equal lists,
-  and `cover.pieces` must give each component's `two_ec_blocks`.
+  that runs it on a built g - u for every u of any graph, and the 2EC
+  blocks as one induced subgraph per component of g less its bridges;
+  the solver's `biconnected_blocks` runs one DFS on integer positions,
+  its `two_vertex_cuts` one per branch vertex of a 2-connected graph,
+  and both must give equal lists, and `cover.pieces` must give each
+  component's `two_ec_blocks`.
 - `credits` and `cost`: the credit ledger of a cover, one entry per
   component, 2EC block and bridge, read off `two_ec_blocks` of each
   component; `cover.cover_cost` must give the same total.

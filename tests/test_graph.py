@@ -12,6 +12,7 @@ from twoec.graph import (
     find_irrelevant_edge, hamiltonian_path, is_2ec, is_2vc, is_connected,
     path_avoiding, two_vertex_cuts, _blocks, _index, _is_2ec, _two_paths,
 )
+import twoec.graph as graph_module
 from twoec.cover import pieces
 from twoec.gluing import component_graph
 
@@ -141,6 +142,94 @@ class TestCuts:
         # plain C4: opposite pairs are isolating cuts
         assert dict(two_vertex_cuts(c_n(4)))[(0, 2)] == "isolating"
 
+    @staticmethod
+    def mixed_inputs(rng):
+        # simple 2EC graphs, random multigraphs, cycles, and a diamond with
+        # a pendant path, an isolated vertex and a looped one
+        graphs = [random_2ec_graph(rng, rng.randint(4, 10),
+                                   extra=rng.randint(0, 3)) for _ in range(30)]
+        graphs += [random_multigraph(rng, rng.randint(3, 9), rng.randint(2, 14))
+                   for _ in range(60)]
+        graphs += [c_n(k) for k in range(3, 9)]
+        graphs.append(Graph(range(8), [
+            Edge(i, u, v) for i, (u, v) in enumerate(
+                [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 4), (4, 5),
+                 (7, 7)])]))
+        return graphs
+
+    @staticmethod
+    def cut_inputs():
+        """Seeded 2-connected multigraphs that reach every case of the
+        scan: random multigraphs (loops and parallel edges included) with
+        each edge subdivided 0-3 times, theta graphs and other parallel
+        chains between two branch vertices, C3-C12, and K4s in a ring
+        joined by chains, whose ring chains share one cycle-space label.
+        Vertex and edge ids are shuffled."""
+        rng = random.Random(20261021)
+
+        def build(pairs, splits):
+            # subdivide pair i splits[i] times, then relabel at random
+            n = 1 + max(max(p) for p in pairs)
+            out = []
+            for (a, b), k in zip(pairs, splits):
+                path = [a] + list(range(n, n + k)) + [b]
+                n += k
+                out += zip(path, path[1:])
+            vs = rng.sample(range(3 * n), n)
+            ids = rng.sample(range(4 * len(out) + 1), len(out))
+            return Graph(vs, [Edge(i, vs[a], vs[b])
+                              for i, (a, b) in zip(ids, out)])
+
+        def splits(k):
+            return [rng.randint(0, 3) for _ in range(k)]
+
+        k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        out = [c_n(k) for k in range(3, 13)]
+        for _ in range(300):
+            # a Hamiltonian cycle (2 parallel edges at n = 2) keeps most of
+            # them 2-connected
+            n = rng.randint(2, 7)
+            pairs = [(i, (i + 1) % n) for i in range(n)]
+            pairs += [(rng.randrange(n), rng.randrange(n))
+                      for _ in range(rng.randint(0, n + 2))]
+            out.append(build(pairs, splits(len(pairs))))
+        for _ in range(40):
+            # a theta graph, or parallel chains beside a K4 on 0 and 1
+            chains = [(0, 1)] * rng.randint(2, 5)
+            extra = k4 if rng.random() < 0.5 else []
+            out.append(build(chains + extra,
+                             splits(len(chains)) + [0] * len(extra)))
+        for _ in range(40):
+            # 2-4 K4s in a ring, each joined to the next by one chain
+            r = rng.randint(2, 4)
+            ring = [(4 * i + 3, (4 * i + 4) % (4 * r)) for i in range(r)]
+            blocks = [(4 * i + a, 4 * i + b) for i in range(r) for a, b in k4]
+            out.append(build(ring + blocks,
+                             [rng.randint(1, 3) for _ in ring]
+                             + [0] * len(blocks)))
+        return [g for g in out if is_2vc(g)]
+
+    @staticmethod
+    def case_of(g, a, b):
+        """Which way the scan reads pair {a, b}: the chains are the
+        components of g on its chain vertices (two non-loop edge ends,
+        to distinct neighbours), their ends the branch vertices next to
+        them."""
+        far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
+               for v in g.vertices}
+        inner = {v for v, f in far.items() if len(f) == 2 and f[0] != f[1]}
+        if len(inner) == g.n:
+            return "cycle"
+        chain = {x: i for i, c in enumerate(components(g.induced(inner)))
+                 for x in c}
+        if a not in inner and b not in inner:
+            return "branch pair"
+        if a in inner and b in inner:
+            return "one chain" if chain[a] == chain[b] else "two chains"
+        u, x = (a, b) if b in inner else (b, a)
+        ends = {w for y in inner if chain[y] == chain[x] for w in far[y]}
+        return "chain end" if u in ends else "bridge of B - u"
+
     def test_two_vertex_cuts_bruteforce(self, rng):
         def brute(g):
             out = []
@@ -152,42 +241,59 @@ class TestCuts:
                                 "isolating" if isolating else "non_isolating"))
             return out
 
-        graphs = [random_2ec_graph(rng, rng.randint(4, 10),
-                                   extra=rng.randint(0, 3)) for _ in range(30)]
-        graphs += [random_multigraph(rng, rng.randint(3, 9), rng.randint(2, 14))
-                   for _ in range(60)]
-        # cycles (g - u a path: every v a partner), and a diamond with a
-        # pendant path, an isolated vertex and a looped one
-        graphs += [c_n(k) for k in range(3, 9)]
-        graphs.append(Graph(range(8), [
-            Edge(i, u, v) for i, (u, v) in enumerate(
-                [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 4), (4, 5),
-                 (7, 7)])]))
-        # some u must be a cut vertex, so that g - u is disconnected
-        assert sum(1 for g in graphs if cut_vertices(g)) >= 10
+        graphs = [g for g in self.mixed_inputs(rng) if is_2vc(g)]
+        graphs += self.cut_inputs()
+        assert len(graphs) >= 300
+        cases, kinds = Counter(), Counter()
         for g in graphs:
-            assert two_vertex_cuts(g) == brute(g)
-        # every way of reading the blocks of g - u is exercised: g - u
-        # disconnected, and a vertex x != v alone in g - {u, v} because x
-        # lies in no block of g - u or its only block is {v, x}
-        cases = Counter()
-        for g in graphs:
-            for (u, v), kind in two_vertex_cuts(g):
-                rest = g.without_vertices([u])
-                blocks = [bvs for bvs, _es in biconnected_blocks(rest)]
-                if not is_connected(rest):
-                    cases["g - u disconnected"] += 1
-                if kind == "non_isolating":
-                    continue
-                for x in g.vertices:
-                    if x in (u, v):
-                        continue
-                    mine = [b for b in blocks if x in b]
-                    if not mine:
-                        cases["x in no block"] += 1
-                    elif mine == [frozenset((v, x))]:
-                        cases["only block {v, x}"] += 1
-        assert len(cases) == 3 and min(cases.values()) >= 10, cases
+            cuts = two_vertex_cuts(g)
+            assert cuts == brute(g) == reference.two_vertex_cuts(g)
+            kinds.update(kind for _pair, kind in cuts)
+            for (a, b), kind in cuts:
+                case = self.case_of(g, a, b)
+                cases[case] += 1
+                if case == "branch pair" and len(components(
+                        g.without_vertices([a, b]))) > 2:
+                    cases["branch pair, k > 2"] += 1
+        assert len(cases) == 7 and min(cases.values()) >= 10, cases
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_two_vertex_cuts_needs_2_connected(self, rng):
+        # fewer than 3 vertices, more than one component, a cut vertex;
+        # the inputs of test_two_vertex_cuts_bruteforce and of
+        # TestBlockReference that are not 2-connected
+        bad = [g for g in self.mixed_inputs(rng) if not is_2vc(g)]
+        bad += [Graph([], []), Graph([0], []), c_n(2),
+               Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 0), (3, 3)]),
+               Graph.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4),
+                                        (4, 5), (5, 3)]),
+               Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 0), (2, 3),
+                                        (3, 4), (4, 2)]),
+               Graph.from_edge_list(3, [(0, 1), (1, 2)])]
+        bad += [g for g in TestBlockReference.graphs() if not is_2vc(g)]
+        assert len(bad) >= 200
+        for g in bad:
+            with pytest.raises(ValueError):
+                two_vertex_cuts(g)
+
+    def test_one_block_dfs_per_branch_vertex(self, monkeypatch):
+        # C200 plus three chords with six distinct ends: the scan runs
+        # one block DFS to check g and one per branch vertex, not one per
+        # vertex
+        n = 200
+        g = Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]
+                                 + [(0, 100), (30, 170), (60, 140)])
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return _blocks(*args)
+
+        monkeypatch.setattr(graph_module, "_blocks", counted)
+        cuts = two_vertex_cuts(g)
+        monkeypatch.undo()
+        assert len(runs) <= 6 + 1
+        assert cuts == reference.two_vertex_cuts(g)
 
     def test_irrelevant_edge(self):
         # diamond: K4 minus one edge; edge 0-2 connects the two cut vertices
@@ -235,7 +341,11 @@ class TestBlockReference:
             assert biconnected_blocks(g) == reference.biconnected_blocks(g)
 
     def test_two_vertex_cuts(self):
-        for g in self.graphs():
+        # the graphs that are not 2-connected are refused
+        # (TestCuts::test_two_vertex_cuts_needs_2_connected)
+        graphs = [g for g in self.graphs() if is_2vc(g)]
+        assert len(graphs) >= 30
+        for g in graphs:
             assert two_vertex_cuts(g) == reference.two_vertex_cuts(g)
 
     def test_two_ec_blocks(self):

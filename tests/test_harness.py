@@ -190,14 +190,16 @@ class TestSolve:
         assert a["instance"] is b["instance"] and a["alpha"] is b["alpha"]
 
     def test_one_deadline_per_solve(self, monkeypatch):
-        # the base case, contractibility and 2-cut searches all check the
-        # one deadline the solve was given, not one of their own
+        # the base case, contractibility and 2-cut searches, and the
+        # structured solver's cover search, all check the one deadline the
+        # solve was given, not one of their own; each check names its
+        # search, which a timeout message repeats
         seen = set()
         check = oracle._check_deadline
 
-        def record(deadline):
-            seen.add(deadline)
-            check(deadline)
+        def record(deadline, search):
+            seen.add((deadline, search))
+            check(deadline, search)
 
         monkeypatch.setattr(oracle, "_check_deadline", record)
         deadline = time.monotonic() + 1e6
@@ -205,7 +207,13 @@ class TestSolve:
                           deadline=deadline, want_trace=True)
         steps = set(report["trace"]["reduction_steps"])
         assert {"brute_force", "contract", "two_cut_type_AB"} <= steps
-        assert seen == {deadline}
+        _, report = solve(generate("gnp_2ec", 18, 5, density=0.2),
+                          deadline=deadline)
+        assert report["dispatched"] == 1
+        assert seen == {(deadline, search) for search in (
+            "exact 2EC search", "triangle-free cover search",
+            "contractibility set search", "certificate pool",
+            "contractibility tests")}
 
     @pytest.mark.parametrize("flags,want", [
         ({}, (2, True, 23)),
@@ -461,8 +469,15 @@ class TestCli:
                   "--out", str(inst)], capsys)
         code, _, err = self.run(["solve", str(inst), "--oracle-time-cap", "0"],
                                 capsys)
+        # a spent budget is not an invariant violation; the message names
+        # the search that ran out (n = 17 reaches the set search first)
         assert code == 4
-        assert "oracle time cap exceeded" in err
+        assert err == ("budget: oracle time cap exceeded in the "
+                       "contractibility set search\n")
+        code, _, err = self.run(["oracle", str(inst),
+                                 "--oracle-vertex-cap", "5"], capsys)
+        assert code == 4
+        assert err == "budget: min_2ecss called with n=17 > cap 5\n"
 
     def test_solve_alpha_above_three(self, tmp_path, capsys):
         # 2/(alpha-1) < 1: no contractible subgraph can exist, and graphs

@@ -643,7 +643,8 @@ class TestTypes:
         assert classify_type(g1.spanning([0, 1, 2]), 0, 2) is None  # v inside
 
     def test_opt_decomposes_on_random_cuts(self, rng):
-        # classify(OPT restricted to a side) is always a valid type
+        # classify(OPT restricted to a side) is always a valid type; a
+        # Hamiltonian cycle plus chords is 2-connected, as the scan needs
         from twoec.graph import two_vertex_cuts
         for _ in range(10):
             g = random_2ec_graph(rng, rng.randint(6, 8), extra=rng.randint(0, 2))

@@ -274,7 +274,14 @@ def _finalize(g: Graph, s: FrozenSet[int], added: FrozenSet[int],
 
 
 def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove:
-    """One cost-neutral move that reduces the bridges of component c."""
+    """One cost-neutral move that reduces the bridges of component c.
+
+    A cheap path when there is one. Otherwise, on a longest tree path
+    b, u1, u2, ..., the paths from b and from a partner block bp merge
+    (`merge_two_paths`): bp beside a lonely node that b reaches near u1,
+    u2, else a leaf of a branch there, else a block that {b, u1} reaches.
+    With none of these, two paths replace the bridge u1-u2.
+    """
     tc = build_tc(g, s, c)
     mv = find_cheap_path(tc)
     if mv is not None:
@@ -322,10 +329,8 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
         if not ups:
             raise InternalContradiction("side block has no usable partner",
                                         counterexample=(g, b, bp))
-        added, bound, rule = merge_two_paths(tc, b, bp, u, ups[0])
-        return _finalize(g, s, added, frozenset(), bound, rule)
-
-    if near:
+        partner = (bp, u, ups[0])
+    elif near:
         leaves = [x for x in sorted(near) if tc.tree.degree(x) == 1]
         if not leaves:
             raise InternalContradiction("near branch without a leaf",
@@ -341,42 +346,41 @@ def cover_step(g: Graph, s: FrozenSet[int], c: Iterable[int]) -> BridgeCoverMove
         if not ups or len(spine) < 3 or spine[2] not in rb:
             raise InternalContradiction("side-branch merge has no partner",
                                         counterexample=(g, b, bp))
-        added, bound, rule = merge_two_paths(tc, b, bp, spine[2], ups[0])
-        return _finalize(g, s, added, frozenset(), bound, rule)
-
-    # bare spine near b: work with paths from {b, u1}
-    u1 = spine[0]
-    rw = _reach_paths(tc, {b, u1})
-    blocks_rw = [x for x in sorted(rw) if tc.tc_nodes[x] == "block"]
-    if blocks_rw:
+        partner = (bp, spine[2], ups[0])
+    else:
+        # bare spine near b: work with paths from {b, u1}
+        u1 = spine[0]
+        rw = _reach_paths(tc, {b, u1})
+        blocks_rw = [x for x in sorted(rw) if tc.tc_nodes[x] == "block"]
+        if not blocks_rw:
+            banned = set(spine[1:3])               # u2, and u3 when present
+            ups = [x for x in sorted(rw) if x not in banned]
+            if not ups or len(spine) < 2 or spine[1] not in rb:
+                raise InternalContradiction("two-path swap has no usable partner",
+                                            counterexample=(g, s, b))
+            up = ups[0]
+            p1 = rb[spine[1]]                      # b to u2
+            p2 = _reach_paths(tc, {u1}).get(up)
+            if p2 is None:
+                raise InternalContradiction("partner not reachable from u1",
+                                            counterexample=(g, b, up))
+            if set(p1.internals) & set(p2.internals):
+                raise InternalContradiction("swap paths intersect",
+                                            counterexample=(g, b, up))
+            between = tc.tree.edges_between(u1, spine[1])
+            if not between:
+                raise InternalContradiction("missing spine bridge",
+                                            counterexample=(g, path))
+            added = frozenset(p1.edges) | frozenset(p2.edges)
+            return _finalize(g, s, added, frozenset([between[0].id]),
+                             Fraction(0), "two_path_swap")
         bp = blocks_rw[0]
         if len(spine) < 2 or spine[1] not in rb:
             raise InternalContradiction("spine merge partner missing",
                                         counterexample=(g, b, bp))
-        added, bound, rule = merge_two_paths(tc, b, bp, spine[1], u1)
-        return _finalize(g, s, added, frozenset(), bound, rule)
-
-    banned = set(spine[1:3])               # u2, and u3 when present
-    ups = [x for x in sorted(rw) if x not in banned]
-    if not ups or len(spine) < 2 or spine[1] not in rb:
-        raise InternalContradiction("two-path swap has no usable partner",
-                                    counterexample=(g, s, b))
-    up = ups[0]
-    p1 = rb[spine[1]]                      # b to u2
-    p2 = _reach_paths(tc, {u1}).get(up)
-    if p2 is None:
-        raise InternalContradiction("partner not reachable from u1",
-                                    counterexample=(g, b, up))
-    if set(p1.internals) & set(p2.internals):
-        raise InternalContradiction("swap paths intersect",
-                                    counterexample=(g, b, up))
-    between = tc.tree.edges_between(u1, spine[1])
-    if not between:
-        raise InternalContradiction("missing spine bridge",
-                                    counterexample=(g, path))
-    added = frozenset(p1.edges) | frozenset(p2.edges)
-    return _finalize(g, s, added, frozenset([between[0].id]),
-                     Fraction(0), "two_path_swap")
+        partner = (bp, spine[1], u1)
+    added, bound, rule = merge_two_paths(tc, b, *partner)
+    return _finalize(g, s, added, frozenset(), bound, rule)
 
 
 def cover_all(g: Graph, cover: FrozenSet[int],

@@ -277,13 +277,9 @@ def _extend_cycle(ctx: GlueContext, ids: List[int], block: FrozenSet[int],
                 continue
             path = path_avoiding(ctx.ghat.graph, [y],
                                  sorted(nodes - {x}), [x])
-            if path is None:
+            if not path:
                 continue
-            landing = None
-            for pe in (path[-1],) if path else ():
-                landing = pe.u if pe.u in nodes else pe.v
-            if landing is None:
-                continue
+            landing = path[-1].u if path[-1].u in nodes else path[-1].v
             drop = _cycle_edge_between(ctx, ids, x, landing)
             if drop is None:
                 continue
@@ -297,31 +293,14 @@ def _extend_cycle(ctx: GlueContext, ids: List[int], block: FrozenSet[int],
     return ids
 
 
-def nice_cycle(ctx: GlueContext, c1: int, c2: int,
-               block: FrozenSet[int],
-               anchor_vertex: Optional[int] = None):
+def cycle_size3(ctx: GlueContext, c1: int, c2: int, block: FrozenSet[int]):
     """Cycle of the block through c1 and c2 attaching to c1 at two distinct
-    vertices, one of them anchor_vertex when possible."""
+    vertices, grown to >= min(3, |block|) components."""
     vs1 = ctx.comp_vertices(c1)
-    trials = []
-    if anchor_vertex is not None:
-        trials.append(({anchor_vertex}, vs1))
-    trials.append((vs1, vs1))
-    for gate in trials:
-        got = _anchored_cycle(ctx, c1, c2, gate1=gate, allowed=block)
-        if got is not None:
-            ids, (a, b), _ = got
-            return ids, (a, b)
-    return None
-
-
-def cycle_size3(ctx: GlueContext, c1: int, c2: int, block: FrozenSet[int],
-                anchor_vertex: Optional[int] = None):
-    """Like nice_cycle but grown to >= min(3, |block|) components."""
-    got = nice_cycle(ctx, c1, c2, block, anchor_vertex)
+    got = _anchored_cycle(ctx, c1, c2, gate1=(vs1, vs1), allowed=block)
     if got is None:
         return None
-    ids, (a, b) = got
+    ids, (a, b), _ = got
     if len(_cycle_comps(ctx, ids)) < min(3, len(block)):
         ids = _extend_cycle(ctx, ids, block, 3)
         atts = _attachments(ctx, ids, c1)
@@ -489,22 +468,65 @@ def _second_block(ctx: GlueContext, c1: int,
     return min(cand, key=min)
 
 
-def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
-                    u1: int, v1: int, c1_gate_first: Iterable[int],
-                    rule: str):
-    """Shared tail of the two-block merges: pick a second block at c1,
-    route a second cycle through it anchored away from u1, v1, then delete
-    one edge of c1.
+def _second_cycle(ctx: GlueContext, c1: int, c2: int, bprime: FrozenSet[int],
+                  gate: Tuple[Set[int], FrozenSet[int]]
+                  ) -> Tuple[List[int], Set[int]]:
+    """A cycle of the second block bprime through c1 and c2 that attaches
+    to c1 at a vertex of gate[0] and a different vertex of gate[1].
 
-    c1_gate_first limits the vertex the second cycle must attach first
-    (the deletable-edge argument needs it off the u1,v1 attachment pair,
-    and for 6/7-cycles inside a shortest u1,v1-arc).
+    A 4-cycle c2 is entered at a Hamiltonian pair and traded for the path
+    between them. Otherwise the anchored cycle is grown to three components
+    when the grown cycle still attaches at two distinct c1 vertices, one of
+    them in gate[0]. Returns (cycle ids, the cover with the cycle in it).
     """
+    g = ctx.g
+    if ctx.comp_size(c2) == 4:
+        got = shortcut_c4_local_c5(ctx, c2, c1, bprime, c2_gate=gate)
+        if got is None:
+            raise InternalContradiction(
+                "4-cycle in the second block admits no merge cycle", g)
+        ids, _p, _q, path = got
+        return ids, (set(ctx.s) - ctx.comp_edges[c2]) | set(ids) \
+            | path_edge_ids(g, path)
+    got = _anchored_cycle(ctx, c1, c2, gate1=gate, allowed=bprime)
+    if got is None:
+        raise InternalContradiction(
+            "second block admits no anchored cycle", g)
+    ids = got[0]
+    if len(_cycle_comps(ctx, ids)) < min(3, len(bprime)):
+        grown = _extend_cycle(ctx, ids, bprime, 3)
+        gat = _attachments(ctx, grown, c1)
+        if len(gat) == 2 and gat[0] != gat[1] \
+                and (gat[0] in gate[0] or gat[1] in gate[0]):
+            ids = grown
+    return ids, set(ctx.s) | set(ids)
+
+
+def _drop_c1_edge(ctx: GlueContext, c1: int, s2: Set[int], ids: List[int],
+                  u1: int, v1: int, rule: str):
+    """Delete one edge of c1 from the merged cover s2, the edges between
+    u1 and v1 and between the attachments of the second cycle ids first,
+    and commit."""
+    atts = _attachments(ctx, ids, c1)
+    if len(atts) != 2 or atts[0] == atts[1]:
+        raise InternalContradiction(
+            "second cycle attaches at a single vertex", ctx.g)
+    eid = _delete_from_component(ctx, s2, c1,
+                                 [(u1, v1), (atts[0], atts[1])])
+    return _commit(ctx, s2 - {eid}, rule)
+
+
+def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
+                    u1: int, v1: int):
+    """Tail of the 5-cycle merge: pick a second block at c1, route a second
+    cycle through it that attaches first off the u1, v1 attachment pair
+    (the deletable-edge argument needs it there), then delete one edge of
+    c1."""
     g = ctx.g
     bprime = _second_block(ctx, c1)
     m3 = local_3_matching(ctx, bprime, {c1})
     vs1 = ctx.comp_vertices(c1)
-    first = set(c1_gate_first)
+    first = set(vs1 - {u1, v1})
     anchored = [e for e in m3
                 if (e.u if e.u in vs1 else e.v) in first]
     if anchored:
@@ -518,36 +540,9 @@ def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
         me = spare[0]
     w1 = me.u if me.u in vs1 else me.v
     c1p = ctx.ghat.node_of(me.other(w1))
-    gate = (first | {w1}, vs1)
-    if ctx.comp_size(c1p) == 4:
-        got = shortcut_c4_local_c5(ctx, c1p, c1, bprime, c2_gate=gate)
-        if got is None:
-            raise InternalContradiction(
-                "4-cycle in second block admits no merge cycle", g)
-        ids, _p, _q, path = got
-        s2 = (set(ctx.s) - ctx.comp_edges[c1p]) | fids | set(ids) \
-            | path_edge_ids(g, path)
-        atts = [a for a in _attachments(ctx, ids, c1)]
-    else:
-        got = _anchored_cycle(ctx, c1, c1p, gate1=gate, allowed=bprime)
-        if got is None:
-            raise InternalContradiction(
-                "second block admits no anchored cycle", g)
-        ids = got[0]
-        if len(_cycle_comps(ctx, ids)) < min(3, len(bprime)):
-            grown = _extend_cycle(ctx, ids, bprime, 3)
-            gat = _attachments(ctx, grown, c1)
-            if len(gat) == 2 and gat[0] != gat[1] \
-                    and (gat[0] in gate[0] or gat[1] in gate[0]):
-                ids = grown
-        s2 = set(ctx.s) | fids | set(ids)
-        atts = _attachments(ctx, ids, c1)
-    if len(atts) != 2 or atts[0] == atts[1]:
-        raise InternalContradiction(
-            "second cycle attaches at a single vertex", g)
-    eid = _delete_from_component(ctx, s2, c1,
-                                 [(u1, v1), (atts[0], atts[1])])
-    return _commit(ctx, s2 - {eid}, rule)
+    ids, s2 = _second_cycle(ctx, c1, c1p, bprime, (first | {w1}, vs1))
+    return _drop_c1_edge(ctx, c1, s2 | fids, ids, u1, v1,
+                         "pendant_5cycle_merge")
 
 
 def _reroute_distinct(ctx: GlueContext, fids: List[int], c1: int, u1: int):
@@ -633,13 +628,11 @@ def _arc_keeping(ctx: GlueContext, fids: List[int], start: int, end: int,
     return None
 
 
-def _cycle_sequence(ctx: GlueContext, fids: List[int]) -> Optional[List[int]]:
-    adj: Dict[int, List[int]] = {}
-    for i in fids:
-        e = ctx.g.edge(i)
-        a, b = ctx.ghat.node_of(e.u), ctx.ghat.node_of(e.v)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+def _walk(adj: Dict[int, List[int]]) -> Optional[List[int]]:
+    """The nodes of a 2-regular adjacency in walk order from the smallest:
+    each step goes to the first listed neighbour other than the node just
+    left (back to it on a 2-cycle). None when a node has another degree or
+    the walk does not close within len(adj) steps."""
     if any(len(v) != 2 for v in adj.values()):
         return None
     start = min(adj)
@@ -656,6 +649,17 @@ def _cycle_sequence(ctx: GlueContext, fids: List[int]) -> Optional[List[int]]:
         if len(seq) > len(adj):
             return None
     return seq
+
+
+def _cycle_sequence(ctx: GlueContext, fids: List[int]) -> Optional[List[int]]:
+    """The components of the contraction cycle fids, in walk order."""
+    adj: Dict[int, List[int]] = {}
+    for i in fids:
+        e = ctx.g.edge(i)
+        a, b = ctx.ghat.node_of(e.u), ctx.ghat.node_of(e.v)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return _walk(adj)
 
 
 def glue_nonlocal_c5(ctx: GlueContext, c1: int):
@@ -676,55 +680,37 @@ def glue_nonlocal_c5(ctx: GlueContext, c1: int):
         if got is None:
             raise InternalContradiction(
                 "no anchored cycle in a 3-component block", g)
-        ids, (u1, v1) = got
-        fl = len(ids)
-        creds = _cycle_credits(ctx, ids)
-        if creds >= fl + 2:
-            return _commit(ctx, set(ctx.s) | set(ids), "cycle_merge")
-        if u1 == v1 or creds < fl + Fraction(7, 4):
+        ids, atts = got
+    else:
+        got = _anchored_cycle(ctx, c1, C, allowed=B)
+        if got is None:
+            raise InternalContradiction(
+                "no cycle through anchor and 5-cycle", g)
+        ids = _extend_cycle(ctx, got[0], B, 4)
+        atts = _attachments(ctx, ids, c1)
+    creds = _cycle_credits(ctx, ids)
+    if creds >= len(ids) + 2:
+        return _commit(ctx, set(ctx.s) | set(ids), "cycle_merge")
+    if len(atts) != 2 or atts[0] == atts[1] \
+            or creds < len(ids) + Fraction(7, 4):
+        if len(B) == 3:
             raise InternalContradiction(
                 "3-component block cycle pays too little", g)
-        return _pendant_finish(ctx, c1, set(ids), u1, v1,
-                               ctx.comp_vertices(c1) - {u1, v1},
-                               "pendant_5cycle_merge")
-    # four or more components in the block
-    got = _anchored_cycle(ctx, c1, C, allowed=B)
-    if got is None:
-        raise InternalContradiction("no cycle through anchor and 5-cycle", g)
-    ids = got[0]
-    ids = _extend_cycle(ctx, ids, B, 4)
-    creds = _cycle_credits(ctx, ids)
-    fl = len(ids)
-    if creds >= fl + 2:
-        return _commit(ctx, set(ctx.s) | set(ids), "cycle_merge")
-    atts = _attachments(ctx, ids, c1)
-    if len(atts) == 2 and atts[0] != atts[1] \
-            and creds >= fl + Fraction(7, 4):
-        u1, v1 = atts
-    else:
-        pin = atts[0]
-        ids, u1, v1 = _reroute_distinct(ctx, list(ids), c1, pin)
-        creds = _cycle_credits(ctx, ids)
-        if creds < len(ids) + Fraction(7, 4):
+        ids, *atts = _reroute_distinct(ctx, list(ids), c1, atts[0])
+        if _cycle_credits(ctx, ids) < len(ids) + Fraction(7, 4):
             raise InternalContradiction("rerouted cycle pays too little", g)
-    return _pendant_finish(ctx, c1, set(ids), u1, v1,
-                           ctx.comp_vertices(c1) - {u1, v1},
-                           "pendant_5cycle_merge")
+    u1, v1 = atts
+    return _pendant_finish(ctx, c1, set(ids), u1, v1)
 
 
 def _cycle_order(ctx: GlueContext, c1: int) -> List[int]:
+    """The vertices of the cycle component c1 in walk order from the
+    smallest, towards its smaller neighbour."""
     sub = ctx.g.spanning(ctx.comp_edges[c1])
-    vs = sorted(ctx.comp_vertices(c1))
-    order = [vs[0]]
-    prev = None
-    while len(order) < len(vs):
-        cur = order[-1]
-        nxt = [w for w in sub.neighbors(cur) if w != prev]
-        if not nxt:
-            raise InternalContradiction("component is not a simple cycle",
-                                        ctx.g)
-        order.append(min(nxt) if prev is None else nxt[0])
-        prev = cur
+    order = _walk({v: sorted(sub.neighbors(v))
+                   for v in ctx.comp_vertices(c1)})
+    if order is None:
+        raise InternalContradiction("component is not a simple cycle", ctx.g)
     return order
 
 
@@ -798,40 +784,12 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
     bprime = _second_block(ctx, c1, must_contain=xrep)
     others = sorted(bprime - {c1}, key=lambda r: (ctx.comp_size(r), r))
     c2 = others[0]
-    if ctx.comp_size(c2) == 4:
-        got = shortcut_c4_local_c5(ctx, c2, c1, bprime,
-                                   c2_gate=(interior, vs1))
-        if got is None:
-            raise InternalContradiction(
-                "4-cycle in the second block admits no merge cycle", g)
-        ids, _p, _q, path = got
-        s2 = (set(ctx.s) - ctx.comp_edges[c2]) | fids | set(ids) \
-            | path_edge_ids(g, path)
-        atts = _attachments(ctx, ids, c1)
-        eid = _delete_from_component(ctx, s2, c1,
-                                     [(u1, v1), (atts[0], atts[1])])
-        return _commit(ctx, s2 - {eid}, "long_cycle_merge")
-
-    got = _anchored_cycle(ctx, c1, c2, gate1=(interior, vs1),
-                          allowed=bprime)
-    if got is None:
-        raise InternalContradiction(
-            "second block admits no anchored cycle", g)
-    ids, _, _ = got
-    if len(_cycle_comps(ctx, ids)) < min(3, len(bprime)):
-        grown = _extend_cycle(ctx, ids, bprime, 3)
-        gat = _attachments(ctx, grown, c1)
-        if len(gat) == 2 and gat[0] != gat[1] \
-                and (gat[0] in interior or gat[1] in interior):
-            ids = grown
+    ids, s2 = _second_cycle(ctx, c1, c2, bprime, (interior, vs1))
     bound = component_credit(m1) + component_credit(ctx.comp_size(c2)) \
         + Fraction(len(ids), 4) - Fraction(14, 4)
-    if bound >= 0:
-        s2 = set(ctx.s) | fids | set(ids)
-        atts = _attachments(ctx, ids, c1)
-        eid = _delete_from_component(ctx, s2, c1,
-                                     [(u1, v1), (atts[0], atts[1])])
-        return _commit(ctx, s2 - {eid}, "long_cycle_merge")
+    if ctx.comp_size(c2) == 4 or bound >= 0:
+        return _drop_c1_edge(ctx, c1, s2 | fids, ids, u1, v1,
+                             "long_cycle_merge")
 
     # degenerate: a 6-cycle hanging between the anchor and one pendant
     # 5-cycle in a 2-component second block

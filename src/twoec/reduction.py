@@ -5,7 +5,9 @@ vertices, parallel edges, irrelevant edges, contractible subgraphs,
 non-isolating 2-vertex cuts) until what remains is structured, hands that
 to the supplied structured-instance solver and stitches the pieces back
 together. The result is always a 2EC spanning subgraph, and its size obeys
-the alpha bound when the solver does.
+the alpha bound when the solver does. Every rule runs on one work list, with
+no recursion, so long chains of nested cuts keep the stack flat; the 2-cut
+stitches (patch edges, dummy edges to drop) run once the list is empty.
 """
 
 import itertools
@@ -59,7 +61,7 @@ def reduce(g: Graph, alpha: Fraction = ALPHA_DEFAULT, alg: Optional[Solver] = No
     if not is_2ec(g):
         raise InfeasibleError("input graph is not 2-edge-connected")
     trace = ReductionTrace()
-    sol = _red(g, alpha, alg, deadline, trace, itertools.count(VIRTUAL_BASE))
+    sol = _red(g, alpha, alg, deadline, trace)
     if not is_2ec(g.spanning(sol)):
         raise InternalContradiction("reduction output is not 2EC spanning",
                                     counterexample=g)
@@ -74,13 +76,24 @@ def _small_threshold(alpha: Fraction) -> Fraction:
 
 def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
          deadline: Optional[float], trace: ReductionTrace,
-         ids: Iterator[int]) -> FrozenSet[int]:
+         cut: Optional[CutPartition] = None) -> FrozenSet[int]:
     # A work list: each rule replaces the graph it pops by smaller ones or
     # adds edges to `kept`. one_cut pushes every block at once, one step per
     # block after the first (every cycle lies in one block; blocks drop only
-    # loops, which no minimum keeps). Only handle_two_cut still recurses.
+    # loops, which no minimum keeps). A 2-cut pushes its sides and records a
+    # stitch (its graph, patch limit, dummy ids); the stitches run after the
+    # loop, latest first. Blocks, contractions and cut sides share no edge
+    # id, so kept ∩ E(g) is then what the sides reduced to, and a later
+    # stitch lies inside an earlier one's graph. With `cut`, g starts there.
+    # Dummy vertices and edges are numbered above every id of g.
+    ids = itertools.count(max([VIRTUAL_BASE - 1, *g.vertices, *g.edge_ids()])
+                          + 1)
     kept: Set[int] = set()
-    todo = [g]
+    stitches: List[Tuple[Graph, int, FrozenSet[int]]] = []
+    todo = [g] if cut is None else []
+    if cut is not None:
+        kept |= _split_two_cut(g, cut, alpha, deadline, trace, ids, todo,
+                               stitches)
     while todo:
         g = todo.pop()
         if g.n <= _small_threshold(alpha):
@@ -125,9 +138,8 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
         pair = next((pair for pair, kind in cuts if kind == "non_isolating"),
                     None)
         if pair is not None:
-            cut = partition_non_isolating(g, *pair)
-            kept |= handle_two_cut(g, cut, alpha, alg, deadline=deadline,
-                                   trace=trace, ids=ids)
+            kept |= _split_two_cut(g, partition_non_isolating(g, *pair),
+                                   alpha, deadline, trace, ids, todo, stitches)
             continue
 
         if alg is None:
@@ -139,6 +151,13 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
             raise InternalContradiction("structured solver output not 2EC",
                                         counterexample=g)
         kept |= sol
+    for g, limit, dummies in reversed(stitches):
+        if not limit and not dummies <= kept:
+            raise InternalContradiction("dummy edges missing from sub-solution",
+                                        counterexample=g)
+        kept -= dummies
+        if limit:
+            kept |= _min_patch(g, frozenset(kept & g.edge_set()), limit)
     return frozenset(kept)
 
 
@@ -180,11 +199,20 @@ def partition_non_isolating(g: Graph, u: int, v: int) -> CutPartition:
 def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
                    alg: Optional[Solver] = None,
                    deadline: Optional[float] = None,
-                   trace: Optional[ReductionTrace] = None,
-                   ids: Optional[Iterator[int]] = None) -> FrozenSet[int]:
-    """Resolve a non-isolating 2-vertex cut by one of the three branches."""
-    trace = trace if trace is not None else ReductionTrace()
-    ids = ids if ids is not None else itertools.count(VIRTUAL_BASE)
+                   trace: Optional[ReductionTrace] = None) -> FrozenSet[int]:
+    """Resolve a non-isolating 2-vertex cut of g and reduce its sides."""
+    return _red(g, alpha, alg, deadline,
+                trace if trace is not None else ReductionTrace(), cut)
+
+
+def _split_two_cut(g: Graph, cut: CutPartition, alpha: Fraction,
+                   deadline: Optional[float], trace: ReductionTrace,
+                   ids: Iterator[int], todo: List[Graph],
+                   stitches: List[Tuple[Graph, int, FrozenSet[int]]]
+                   ) -> FrozenSet[int]:
+    """One of the three branches at a non-isolating cut: returns the edges
+    kept outright, pushes the sides left to reduce (the first one last) and
+    records the stitch that finishes the cut once they are reduced."""
     u, v = cut.u, cut.v
     g1 = g.induced(cut.v1 | {u, v})
     g2 = g.induced(cut.v2 | {u, v})
@@ -196,33 +224,30 @@ def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
 
     if g1.n > contract_thr:
         trace.steps.append("two_cut_both_big")
-        s = frozenset().union(*(
-            _red(gi.contract({u, v})[0], alpha, alg, deadline, trace, ids)
-            for gi in (g1, g2)))
-        return s | _min_patch(g, s, 2)
+        stitches.append((g, 2, frozenset()))
+        todo.extend(gi.contract({u, v})[0] for gi in (g2, g1))
+        return frozenset()
 
     opt_1b = opt_type(g1, u, v, "B", g_full=g, deadline=deadline)
     opt_1c = opt_type(g1, u, v, "C", g_full=g, deadline=deadline)
 
     if opt_1c is not None and (opt_1b is None or len(opt_1c) <= len(opt_1b) - 1):
         eid = next(ids)
-        g2pp = g2.with_edges([Edge(eid, u, v)])
         trace.steps.append("two_cut_type_C")
-        s = opt_1c | (_red(g2pp, alpha, alg, deadline, trace, ids) - {eid})
-        return s | _min_patch(g, s, 1)
+        stitches.append((g, 1, frozenset([eid])))
+        todo.append(g2.with_edges([Edge(eid, u, v)]))
+        return opt_1c
 
     if opt_1b is None:
         raise InternalContradiction("no type-B side at a non-isolating cut",
                                     counterexample=g)
     w = next(ids)
     e1, e2 = next(ids), next(ids)
-    g2ppp = g2.with_edges([Edge(e1, u, w), Edge(e2, v, w)], extra_vertices=[w])
     trace.steps.append("two_cut_type_AB")
-    s2 = _red(g2ppp, alpha, alg, deadline, trace, ids)
-    if e1 not in s2 or e2 not in s2:
-        raise InternalContradiction("dummy edges missing from sub-solution",
-                                    counterexample=g)
-    return opt_1b | (s2 - {e1, e2})
+    stitches.append((g, 0, frozenset([e1, e2])))
+    todo.append(g2.with_edges([Edge(e1, u, w), Edge(e2, v, w)],
+                              extra_vertices=[w]))
+    return opt_1b
 
 
 def _min_patch(g: Graph, s: FrozenSet[int], limit: int) -> FrozenSet[int]:

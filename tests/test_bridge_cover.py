@@ -156,6 +156,33 @@ class TestTwoPathMoves:
         assert len(bridges(new)) == 2
         assert bridges(new) < bridges(g.spanning(s))
 
+    def test_lonely_node_beside_the_spine_is_reachable(self):
+        # spine block 0..3 -4-5-6- 6-cycle 7..12, with 5-13 and 13 to the
+        # 5-cycle 14..18 hanging off u2 = 5; b reaches the lonely 13, and
+        # the side block pairs with the lonely 6
+        pairs = (cycle(4) + [(2, 4), (4, 5), (5, 6)]       # ids 0..6
+                 + cycle(6, offset=7) + [(6, 8), (5, 13)]  # ids 7..14
+                 + cycle(5, offset=14) + [(13, 18)]        # ids 15..20
+                 + [(13, 2), (18, 6)])                     # ids 21, 22
+        g = Graph.from_edge_list(19, pairs)
+        s = frozenset(range(21))
+        mv = cover_step(g, s, range(19))
+        assert (mv.rule, mv.added, mv.removed, mv.bound, mv.cost_delta) == \
+            ("merge_two_paths", frozenset([21, 22]), frozenset(), 0,
+             Fraction(1, 4))
+
+    def test_block_reachable_from_b_and_u1(self):
+        # bare spine block 0..3 -4-5-6- 6-cycle 7..12: b reaches only u2
+        # and u1 reaches the far block, so the two paths merge
+        pairs = (cycle(4) + [(1, 4), (4, 5), (5, 6)]       # ids 0..6
+                 + cycle(6, offset=7) + [(6, 8)]           # ids 7..13
+                 + [(1, 5), (9, 4)])                       # ids 14, 15
+        g = Graph.from_edge_list(13, pairs)
+        s = frozenset(range(14))
+        mv = cover_step(g, s, range(13))
+        assert (mv.rule, mv.added, mv.removed, mv.bound, mv.cost_delta) == \
+            ("merge_two_paths", frozenset([14, 15]), frozenset(), 0, 0)
+
     def test_shared_internal_node_yields_block_link(self):
         # both given paths pass through the spare C4 on 10..13, so the
         # merge instead emits the direct block-to-block path through it

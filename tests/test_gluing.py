@@ -30,6 +30,26 @@ def cover_ids(edges):
     return frozenset(e.id for e in edges)
 
 
+def rings(sizes, cross):
+    """Disjoint cycles of the given sizes on consecutive vertices and edge
+    ids (the cover s), plus the cross edges, numbered after them."""
+    edges, n = [], 0
+    for size in sizes:
+        edges += ring(list(range(n, n + size)), len(edges))
+        n += size
+    s = cover_ids(edges)
+    edges += [Edge(len(s) + k, u, v) for k, (u, v) in enumerate(cross)]
+    return mk(n, edges), s
+
+
+def pinned_move(g, s, rule, added, removed, cost_delta):
+    """glue_step on (g, s) makes exactly this move."""
+    new_s, move = glue_step(g, s)
+    assert (move.rule, move.added, move.removed, move.cost_delta) == \
+        (rule, frozenset(added), frozenset(removed), Fraction(cost_delta))
+    assert new_s == (s | move.added) - move.removed
+
+
 class TestBlocks:
     def test_path_gives_two_edge_blocks(self):
         g = mk(3, [Edge(0, 0, 1), Edge(1, 1, 2)])
@@ -238,6 +258,84 @@ class TestNonLocalFiveCycle:
         # exactly one edge of the 5-cycle got traded away
         assert len(move.removed) == 1
         assert move.removed < frozenset(range(8, 13))
+
+
+class TestSecondBlockMerges:
+    """Each gadget reaches one branch of the merges that route a second
+    cycle through a second block at c1 and then delete one c1 edge. The
+    anchor is the 8- or 9-cycle on 0.. and the blocks of the contraction
+    are listed by component representative."""
+
+    def test_six_cycle_with_four_cycle_second_block(self):
+        # blocks {0, 12} and {8, 12}: the 6-cycle 12 is the anchor's lone
+        # partner and the 4-cycle 8 is traded for a Hamiltonian path
+        g, s = rings([8, 4, 6], [(7, 12), (4, 14), (5, 16), (13, 8), (16, 9)])
+        pinned_move(g, s, "long_cycle_merge", {18, 19, 21, 22}, {8, 12},
+                    Fraction(1, 2))
+
+    def test_six_cycle_with_grown_second_cycle(self):
+        # blocks {0, 21} and {8, 14, 21}: the second cycle through the
+        # 7-cycle 21 and the 6-cycle 8 grows through the 7-cycle 14
+        g, s = rings([8, 6, 7, 7], [(0, 22), (3, 24), (5, 26), (22, 15),
+                                    (18, 11), (9, 27), (13, 21)])
+        pinned_move(g, s, "long_cycle_merge", {28, 30, 31, 32, 34}, {21}, 1)
+
+    def test_seven_cycle_second_cycle_pays(self):
+        # blocks {0, 8} and {8, 15}: the 2-component second cycle pays
+        g, s = rings([8, 7, 5], [(5, 8), (0, 12), (2, 10), (11, 18),
+                                 (14, 18)])
+        pinned_move(g, s, "long_cycle_merge", {21, 22, 23, 24}, {10}, 0)
+
+    def test_pendant_five_cycle_with_four_cycle_second_block(self):
+        # blocks {0, 8, 17} and {8, 13}: the 5-cycle 8 closes a cycle with
+        # the anchor and the 6-cycle 17, then the 4-cycle 13 is traded
+        g, s = rings([8, 5, 4, 6], [(1, 10), (12, 22), (22, 7), (11, 14),
+                                    (12, 15), (9, 13)])
+        pinned_move(g, s, "pendant_5cycle_merge", {23, 24, 25, 26, 28},
+                    {9, 13}, Fraction(3, 4))
+
+    def test_pendant_five_cycle_with_grown_second_cycle(self):
+        # blocks {0, 15, 25} and {9, 15, 20}: the second cycle through the
+        # 5-cycles 15 and 20 grows through the 6-cycle 9
+        g, s = rings([9, 6, 5, 5, 6], [(0, 27), (30, 17), (19, 6), (15, 13),
+                                       (11, 20), (20, 16), (9, 17)])
+        pinned_move(g, s, "pendant_5cycle_merge", {31, 32, 33, 35, 36, 37},
+                    {16}, Fraction(1, 2))
+
+
+class TestNonLocalFiveCycleExits:
+    def test_three_component_block_cycle_pays(self):
+        # blocks {0, 8, 13} and {8, 20}: anchor, 5-cycle and 7-cycle
+        g, s = rings([8, 5, 7, 4], [(4, 12), (10, 19), (14, 6), (12, 23)])
+        pinned_move(g, s, "cycle_merge", {24, 25, 26}, (), 0)
+
+    def test_four_component_block_cycle_pays(self):
+        # blocks {0, 8, 13, 23} and {8, 19}
+        g, s = rings([8, 5, 6, 4, 6], [(7, 8), (8, 17), (16, 26), (28, 7),
+                                       (9, 22)])
+        pinned_move(g, s, "cycle_merge", {29, 30, 31, 32}, (), Fraction(1, 4))
+
+    def test_four_component_block_pendant_finish(self):
+        # blocks {0, 8, 13, 18}, {8, 23}, {13, 27} and {18, 31}: three
+        # 5-cycles in the anchor block, each with a block of its own
+        g, s = rings([8, 5, 5, 5, 4, 4, 8],
+                     [(12, 19), (22, 16), (16, 0), (5, 10), (8, 26),
+                      (11, 24), (12, 25), (16, 27), (21, 35)])
+        pinned_move(g, s, "pendant_5cycle_merge",
+                    {39, 40, 41, 42, 44, 45}, {11, 24}, Fraction(3, 4))
+
+    def test_pinched_cycle_is_rerouted(self):
+        # the anchor block holds the 5-cycles 8, 13 and 18; 13 and 18 meet
+        # the anchor at 13 and 18 only, so no adjacent merge fits. The cycle
+        # 0-13-8-18-0 leaves the 5-cycle 8 twice at 8 (edges 42, 43 come
+        # first), pays 2 + 3 * 5/4 = 4 + 7/4, and is unpinned through 10-16.
+        # Each 5-cycle has a second block with a 6-cycle (23, 29, 35).
+        g, s = rings([8, 5, 5, 5, 6, 6, 6],
+                     [(8, 15), (8, 20), (10, 16), (11, 21), (13, 0),
+                      (18, 4), (8, 23), (10, 25), (11, 27), (15, 29),
+                      (16, 31), (20, 35), (21, 37)])
+        pinned_move(g, s, "pendant_5cycle_merge",
+                    {42, 43, 45, 46, 47, 49}, {10}, Fraction(1, 4))
 
 
 class TestFallbackUnion:

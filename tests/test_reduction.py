@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from twoec import reduction
 from twoec.errors import InfeasibleError, InternalContradiction
-from twoec.graph import Graph, is_2ec, is_2vc
+from twoec.graph import VIRTUAL_BASE, Edge, Graph, is_2ec, is_2vc
 from twoec.harness import solve
 from twoec.oracle import min_2ecss
 from twoec.reduction import (CutPartition, ReductionTrace, handle_two_cut,
@@ -117,6 +118,35 @@ class TestReduceSmall:
         assert trace.steps.count("one_cut") == k - 1
         assert trace.steps.count("brute_force") == k
         assert len(trace.steps) == 2 * k - 1
+
+    def test_nested_two_cuts_do_not_recurse(self):
+        # C120 plus the chord (0, 60) nests a type-AB cut inside each side
+        # of the last; a reduction that recursed per cut would pass a
+        # recursion limit set 150 frames above the caller's depth
+        g = Graph.from_edge_list(120, cycle(120) + [(0, 60)])
+        depth, f = 0, sys._getframe()
+        while f is not None:
+            depth, f = depth + 1, f.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            sol, report = solve(g, want_trace=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sol == frozenset(range(120))
+        assert report["trace"]["reduction_steps"].count("two_cut_type_AB") > 50
+
+    def test_input_ids_at_the_dummy_base(self):
+        # the dummy vertices and edges of the 2-cut rules are numbered above
+        # every input id, so edge ids from VIRTUAL_BASE up do not collide
+        pairs = cycle(40) + [(0, 20)]
+        g = Graph.from_edge_list(40, pairs)
+        shifted = Graph(range(40), [Edge(VIRTUAL_BASE + e.id, e.u, e.v)
+                                    for e in g.edges()])
+        sol, _ = solve(g)
+        got, _ = solve(shifted)
+        assert len(got) == 40
+        assert got == frozenset(VIRTUAL_BASE + i for i in sol)
 
 
 class TestReduceRules:

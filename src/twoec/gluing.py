@@ -529,15 +529,10 @@ def _pendant_finish(ctx: GlueContext, c1: int, fids: Set[int],
     first = set(vs1 - {u1, v1})
     anchored = [e for e in m3
                 if (e.u if e.u in vs1 else e.v) in first]
-    if anchored:
-        me = anchored[0]
-    else:
-        spare = [e for e in m3
-                 if (e.u if e.u in vs1 else e.v) not in (u1, v1)]
-        if not spare:
-            raise InternalContradiction(
-                "second-block matching pinned to the first cycle", g)
-        me = spare[0]
+    if not anchored:
+        raise InternalContradiction(
+            "second-block matching pinned to the first cycle", g)
+    me = anchored[0]
     w1 = me.u if me.u in vs1 else me.v
     c1p = ctx.ghat.node_of(me.other(w1))
     ids, s2 = _second_cycle(ctx, c1, c1p, bprime, (first | {w1}, vs1))

@@ -241,6 +241,34 @@ def _index(g: Graph) -> List[List[Tuple[int, int]]]:
     return nb
 
 
+def _sub_index(nb: List[List[Tuple[int, int]]],
+               xs: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """The `_index` lists of the subgraph induced by the vertex positions
+    xs, renumbered in the order of xs; edge positions stay those of nb."""
+    loc = {x: i for i, x in enumerate(xs)}
+    return [[(loc[w], j) for w, j in nb[x] if w in loc] for x in xs]
+
+
+def _labels(nb: List[List[Tuple[int, int]]],
+            present: List[bool]) -> List[int]:
+    """The connected component of each vertex position over the edges that
+    `present` marks, numbered from 0 in the order of their first vertex."""
+    label = [-1] * len(nb)
+    c = 0
+    for s in range(len(nb)):
+        if label[s] >= 0:
+            continue
+        label[s] = c
+        queue = [s]
+        for x in queue:
+            for w, j in nb[x]:
+                if label[w] < 0 and present[j]:
+                    label[w] = c
+                    queue.append(w)
+        c += 1
+    return label
+
+
 def _blocks(nb: List[List[Tuple[int, int]]], skip: int = -1,
             present: Optional[List[bool]] = None) -> Iterator[List[int]]:
     """Lowpoint DFS (Tarjan 1972) on `_index` lists, with a vertex stack: a

@@ -22,8 +22,14 @@ the whole graph. Its callers differ in three ways, each an argument:
   edges);
 - `connected`: the 2EC searches drop an edge only while the rest stays
   2EC, and ask a lone vertex for no degree;
-- the leaf test: 2EC of free ∪ kept, and for `opt_type` the type; or, for
+- the leaf test: 2EC of free ∪ kept, and for `opt_type` the type, read
+  off the present mask with the virtual u–v edges cleared; or, for
   `min_tf2ec`, no triangle component.
+
+`opt_type` rules type C out before any search when the 2-edge-connected
+components of the side cannot hold two pieces, one with u and one with
+v (`_no_type_c`), and tests the complement side of a cut on an index of
+its vertices, with no graph built (`_complement_2ec`).
 
 `find_contractible_subgraph` runs the exact 2EC search only on the few
 vertex sets W that cheap tests leave open. Its set search makes only the
@@ -33,10 +39,12 @@ subgraph H of g, H ∩ E(g[W]) is a witness against W, because
 (g − E(g[W])) ∪ (H ∩ E(g[W])) contains H. So W is not contractible when
 some H keeps fewer than |E(C)|/alpha edges of g[W], C the minimum 2EC
 spanning subgraph of g[W]. This is checked with |W| for |E(C)| before
-g[W] is built (|E(C)| >= |W| once |W| >= 3), and with |E(C)| itself after
-`min_2ecss`. The certificates form a pool per call: two reverse-delete
-minimal 2EC spanning subgraphs of g (ascending and descending edge ids),
-and one sparsified witness of the exact search for each set it rejects.
+g[W] is tested for 2EC (|E(C)| >= |W| once |W| >= 3), and with |E(C)|
+itself after `min_2ecss`. The 2EC test runs on W's rows of g's `_index`,
+so g[W] is built only for the sets that pass it. The certificates form a
+pool per call: two reverse-delete minimal 2EC spanning subgraphs of g
+(ascending and descending edge ids), and one sparsified witness of the
+exact search for each set it rejects.
 """
 
 from __future__ import annotations
@@ -48,8 +56,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from .errors import OracleBudgetError, OracleTimeout
-from .graph import (Edge, Graph, _index, _is_2ec, _two_paths, components,
-                    is_2ec)
+from .graph import (Edge, Graph, _index, _is_2ec, _labels, _sub_index,
+                    _two_paths, bridges)
 
 
 # nodes the set search of `find_contractible_subgraph` may make per call
@@ -66,13 +74,15 @@ def _check_deadline(deadline: Optional[float], search: str) -> None:
 
 class _EdgeArrays:
     """Mutable array view of a graph for the hot search loops: the
-    `graph._index` lists `nb`, the ends and ids of each edge position, and
-    the present mask and degrees that `remove` and `restore` keep."""
+    `graph._index` lists `nb` (passed in when the caller has built them),
+    the ends and ids of each edge position, and the present mask and
+    degrees that `remove` and `restore` keep."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph,
+                 nb: Optional[List[List[Tuple[int, int]]]] = None):
         vidx = {v: i for i, v in enumerate(g.vertices)}
         self.n = g.n
-        self.nb = _index(g)
+        self.nb = _index(g) if nb is None else nb
         es = g.edges()
         self.eids = [e.id for e in es]
         self.pos = {e.id: i for i, e in enumerate(es)}
@@ -256,12 +266,13 @@ def min_inner_edges(g: Graph, inner: Sequence[int], cap: Optional[int],
 
 def _min_2ec(g: Graph, free: FrozenSet[int], cap: Optional[int],
              deadline: Optional[float],
-             accept: Optional[Callable[[List[int]], bool]] = None
+             accept: Optional[Callable[[_EdgeArrays], bool]] = None
              ) -> Optional[Tuple[int, FrozenSet[int]]]:
     """Keep the fewest, then lex-first, edges outside `free` so that free ∪
     kept is 2EC spanning, at most cap of them when cap is given; with
-    `accept`, only a kept set (edge ids, ascending) it accepts counts.
-    Returns (count, kept) or None.
+    `accept`, only a leaf it accepts counts. It sees the search's
+    `_EdgeArrays` of g, whose present mask marks free ∪ kept there, and
+    leaves them as it found them. Returns (count, kept) or None.
 
     The free edges are forced and not counted: count = kept − |free|, and
     the deepening stops at |free| + cap. `_deepen` runs with `connected`,
@@ -288,8 +299,7 @@ def _min_2ec(g: Graph, free: FrozenSet[int], cap: Optional[int],
             arr.remove(i)
         # the present edges are 2EC on entry and after every removal
         ok = (not drop or _is_2ec(arr.nb, arr.present)) and (
-            accept is None or accept([arr.eids[i] for i, s in enumerate(st)
-                                      if s == 1 and arr.eids[i] not in free]))
+            accept is None or accept(arr))
         for i in drop:
             arr.restore(i)
         return ok
@@ -418,11 +428,13 @@ class _Certificates:
     |H ∩ E(g[W])| is a scan of W's H-neighbours.
     """
 
-    def __init__(self, g: Graph, deadline: Optional[float]):
+    def __init__(self, g: Graph, deadline: Optional[float],
+                 nb: Optional[List[List[Tuple[int, int]]]] = None):
         self.g = g
         self.deadline = deadline
         self.pool: List[Dict[int, List[int]]] = []
-        self.arr = _EdgeArrays(g)  # every H is built on it, then it is reset
+        # every H is built on it, then it is reset
+        self.arr = _EdgeArrays(g, nb)
         asc = list(range(g.m))  # array positions follow ascending edge ids
         self._add(asc)
         self._add(asc[::-1])
@@ -485,8 +497,10 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
       vertices (a lone one is a bridge), one anchor at a time;
     - a pool of 2EC spanning subgraphs H of g (see `_Certificates`): W is
       skipped when some H keeps fewer than |W|/alpha edges of g[W], checked
-      before g[W] is built, since |E(C)| >= |W|; and again, once C is known,
-      when some H keeps fewer than |E(C)|/alpha.
+      before g[W] is tested, since |E(C)| >= |W|; and again, once C is
+      known, when some H keeps fewer than |E(C)|/alpha;
+    - g[W] is tested for 2EC on W's rows of g's `_index`, the one the
+      call builds and the pool shares, and built only when it passes.
     A skipped set is one the exact test rejects, so the result is the same
     as without them. The pool is built at the first anchor with a set,
     from reverse-delete minimal 2EC spanning subgraphs in ascending and
@@ -503,15 +517,17 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     kmax = math.floor(Fraction(2) / (alpha - 1))
     if kmax < 3:
         return None
-    far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
-           for v in g.vertices}
+    nb, vs = _index(g), g.vertices
+    far = {vs[x]: [vs[w] for w, _j in row if w != x]
+           for x, row in enumerate(nb)}
     certs: Optional[_Certificates] = None
     for v, found in _two_ended_sets(g, far, kmax, deadline):
         if not found:
             continue
         if certs is None:
-            certs = _Certificates(g, deadline)
-            nbrs = {x: g.neighbors(x) for x in g.vertices}
+            certs = _Certificates(g, deadline, nb)
+            nbrs = {x: sorted(set(far[x])) for x in vs}
+            pos = {x: i for i, x in enumerate(vs)}
         # the pool only grows, so what it refutes now stays refuted
         found = [w for w in found
                  if not certs.refute(w, _below(len(w), alpha))]
@@ -520,9 +536,9 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
             _check_deadline(deadline, "contractibility tests")
             if certs.refute(w, _below(len(w), alpha)):
                 continue
-            sub = g.induced(w)
-            if not is_2ec(sub):
+            if not _is_2ec(_sub_index(nb, [pos[x] for x in w])):
                 continue
+            sub = g.induced(w)
             c_edges = min_2ecss(sub, deadline)
             cap = _below(len(c_edges), alpha)
             if certs.refute(w, cap):
@@ -544,6 +560,39 @@ def _with_uv(g: Graph, u: int, v: int, k: int) -> Graph:
     return g.with_edges([Edge(top + 1 + i, u, v) for i in range(k)])
 
 
+def _complement_2ec(g_full: Graph, v1: Iterable[int], u: int, v: int,
+                    k: int) -> bool:
+    """Is g_full − (v1 ∖ {u, v}) plus k u–v edges 2EC? Tested on the
+    `_index` rows of the vertices left, with k u–v entries appended at edge
+    positions above every real one; no graph is built."""
+    vs = g_full.vertices
+    drop = set(v1) - {u, v}
+    keep = [i for i, x in enumerate(vs) if x not in drop]
+    nb = _sub_index(_index(g_full), keep)
+    a, b = keep.index(vs.index(u)), keep.index(vs.index(v))
+    for j in range(g_full.m, g_full.m + k):
+        nb[a].append((b, j))
+        nb[b].append((a, j))
+    return _is_2ec(nb)
+
+
+def _no_type_c(g1: Graph, u: int, v: int) -> bool:
+    """Is there no spanning subgraph of g1 of type C w.r.t. {u, v}, as the
+    2-edge-connected components of g1 show without a search?
+
+    A type-C h is disconnected with h + 2uv 2EC, so it has two components,
+    one holding u and one v, each 2EC or a lone u or v: a bridge inside
+    either would be a bridge of h + 2uv too. A 2EC subgraph lies inside one
+    2-edge-connected component of g1, so there is no type C when g1 has
+    more than two of these, or two with u and v in one. They are the
+    components of g1 less its bridges."""
+    cut = bridges(g1)
+    label = _labels(_index(g1), [eid not in cut for eid in g1.edge_ids()])
+    count = max(label) + 1
+    return count > 2 or (count == 2 and label[g1.vertices.index(u)]
+                         == label[g1.vertices.index(v)])
+
+
 def opt_type(g1: Graph, u: int, v: int, t: str,
              g_full: Optional[Graph] = None,
              deadline: Optional[float] = None) -> Optional[FrozenSet[int]]:
@@ -551,12 +600,16 @@ def opt_type(g1: Graph, u: int, v: int, t: str,
 
     When g_full is given, defined-ness additionally requires the complement
     side G2 = g_full − (V(g1) ∖ {u,v}) to admit a compatible type: 2EC for
-    t='C' (pairs with type A), type A or B overall for t='B'/'A'.
+    t='C' (pairs with type A), type A or B overall for t='B'/'A', that is
+    G2 + uv 2EC (`_complement_2ec`). For t='C', `_no_type_c` answers None
+    before any search when g1's 2-edge-connected components rule type C
+    out.
     """
-    if g_full is not None:
-        g2 = g_full.without_vertices(set(g1.vertices) - {u, v})
-        if not is_2ec(_with_uv(g2, u, v, int(t != "C"))):
-            return None
+    if g_full is not None and not _complement_2ec(
+            g_full, g1.vertices, u, v, int(t != "C")):
+        return None
+    if t == "C" and _no_type_c(g1, u, v):
+        return None
     return _opt_typed(g1, u, v, t, deadline)
 
 
@@ -567,10 +620,21 @@ def _opt_typed(g1: Graph, u: int, v: int, t: str,
     # virtual ones free never prunes one, and the first accepted leaf is the
     # (size, lex) minimum. An h with h + uv 2EC is connected (an edge joining
     # two components is a bridge), so of type A when 2EC and B when not. A C
-    # leaf has one or two components, and is of type C when it has two.
-    g = _with_uv(g1, u, v, "ABC".index(t))
-    accept = {"A": None,
-              "B": lambda kept: not is_2ec(g1.spanning(kept)),
-              "C": lambda kept: len(components(g1.spanning(kept))) > 1}[t]
-    found = _min_2ec(g, g.edge_set() - g1.edge_set(), None, deadline, accept)
+    # leaf has one or two components, each holding u or v, and is of type C
+    # when u and v lie apart. The leaf tests read h off the search's present
+    # mask with the virtual positions cleared: they are the last k, since
+    # their ids are above g1's.
+    k = "ABC".index(t)
+    g = _with_uv(g1, u, v, k)
+    a, b = g1.vertices.index(u), g1.vertices.index(v)
+
+    def accept(arr: _EdgeArrays) -> bool:
+        h = arr.present[:g1.m] + [False] * k
+        if t == "B":
+            return not _is_2ec(arr.nb, h)
+        label = _labels(arr.nb, h)
+        return label[a] != label[b]
+
+    found = _min_2ec(g, g.edge_set() - g1.edge_set(), None, deadline,
+                     None if t == "A" else accept)
     return None if found is None else found[1]

@@ -26,6 +26,10 @@ outputs directly, so the tests can check the solver against them:
   checked against the solver's `graph._blocks`.
 - `classify_type`: the type A, B or C of a spanning subgraph at a 2-cut
   pair, read off three 2EC tests.
+- `opt_typed_by_graphs`: the typed optimum of a cut side as the exact
+  search with a built graph tested at each leaf and no type-C refutation
+  before it; the solver's `opt_type` tests its leaves on the search's
+  arrays and must return the same edge set.
 - `reachable`: the bridge-cover tree nodes joined to a node set by an
   augmenting path.
 - `baseline_dfs2`: the DFS baseline with one scan over every back edge per
@@ -604,6 +608,27 @@ def classify_type(h: Graph, u: int, v: int) -> Optional[str]:
     if n_comps == 2 and is_2ec(_with_uv(h, u, v, 2)):
         return "C"
     return None
+
+
+def opt_typed_by_graphs(g1: Graph, u: int, v: int,
+                        t: str) -> Optional[FrozenSet[int]]:
+    """`oracle.opt_type` without g_full as it stood before its tests moved
+    to arrays: the same exact search over g1 plus k = 0, 1 or 2 virtual
+    u–v edges, no refutation of type C before it, and each leaf's type
+    tested on a built g1.spanning(kept): not 2EC for 'B', more than one
+    component for 'C'."""
+    g = _with_uv(g1, u, v, "ABC".index(t))
+    free = g.edge_set() - g1.edge_set()
+
+    def h(arr: _EdgeArrays) -> Graph:
+        return g1.spanning(eid for eid, p in zip(arr.eids, arr.present)
+                           if p and eid not in free)
+
+    accept = {"A": None,
+              "B": lambda arr: not is_2ec(h(arr)),
+              "C": lambda arr: len(components(h(arr))) > 1}[t]
+    found = oracle._min_2ec(g, free, None, None, accept)
+    return None if found is None else found[1]
 
 
 # -- bridge-cover reachability ------------------------------------------------

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import twoec
 from twoec import oracle
-from twoec.graph import (Edge, Graph, biconnected_blocks, connected_subsets,
-                         is_2ec, components)
+from twoec.graph import (Edge, Graph, _index, _is_2ec, _sub_index,
+                         biconnected_blocks, connected_subsets, is_2ec,
+                         components)
 from twoec.harness import generate, solve
 from twoec.oracle import (
     find_contractible_subgraph, min_2ecss, min_inner_edges, min_tf2ec,
@@ -25,8 +26,8 @@ from twoec.errors import OracleBudgetError, OracleTimeout
 from conftest import random_2ec_graph, random_multigraph, small_graphs
 from reference import (check_cover_matching_identity, classify_type,
                        contractible_by_scan, is_alpha_contractible,
-                       max_tf2matching, min_inner_2ec, two_ec_blocks,
-                       two_ends_each)
+                       max_tf2matching, min_inner_2ec, opt_typed_by_graphs,
+                       two_ec_blocks, two_ends_each)
 
 
 def c_n(n):
@@ -462,6 +463,27 @@ class TestContractibility:
             total += len(got)
         assert total > 1000
 
+    def test_position_test_matches_induced_graph(self):
+        # the search tests g[W] for 2EC on W's rows of g's index; on every
+        # two-ended set of multigraphs with loops and parallel edges, that
+        # is is_2ec of the built g[W]
+        rng = random.Random(20261021)
+        seen = Counter()
+        for _ in range(150):
+            n = rng.randint(3, 11)
+            g = relabel(rng, random_multigraph(rng, n, rng.randint(n, 3 * n)))
+            nb, vs = _index(g), g.vertices
+            pos = {x: i for i, x in enumerate(vs)}
+            far = {vs[x]: [vs[w] for w, _j in row if w != x]
+                   for x, row in enumerate(nb)}
+            for _v, found in oracle._two_ended_sets(g, far, 8, None):
+                for w in found:
+                    want = is_2ec(g.induced(w))
+                    assert _is_2ec(_sub_index(nb, [pos[x] for x in w])) \
+                        == want
+                    seen[want] += 1
+        assert min(seen.values()) >= 100, seen
+
     def test_preorder_key_gives_connected_subsets_order(self):
         rng = random.Random(7)
         for _ in range(150):
@@ -692,6 +714,10 @@ class TestTypes:
             for i in range(rng.randint(0, 6)):
                 a = rng.randrange(n1, n1 + n2)
                 extra.append(Edge(g1.m + i, a, rng.choice(side2)))
+            # u–v edges and loops at u or v lie on side 2 too
+            for _ in range(rng.randint(0, 2)):
+                extra.append(Edge(g1.m + len(extra),
+                                  *rng.choice([(u, v), (u, u), (v, v)])))
             g_full = g1.with_edges(extra, extra_vertices=side2[2:])
             g2 = g_full.without_vertices(set(g1.vertices) - {u, v})
             want = self.brute_typed(g1, u, v)
@@ -700,6 +726,78 @@ class TestTypes:
                     block_path_type(g2, u, v) in ("A", "B")
                 expect = want.get(t) if ok else None
                 assert opt_type(g1, u, v, t, g_full=g_full) == expect
+
+    def test_complement_check_on_an_index(self):
+        # g_full − (V1 ∖ {u, v}) plus k u–v edges is 2EC on the index
+        # exactly when it is on the built graph; multigraphs with loops,
+        # parallel edges and several u–v edges
+        rng = random.Random(20261022)
+        seen = Counter()
+        for _ in range(300):
+            g = relabel(rng, random_2ec_multigraph(rng, rng.randint(3, 10)))
+            vs = g.vertices
+            u, v = rng.sample(vs, 2)
+            top = max(g.edge_ids()) + 1
+            g = g.with_edges(
+                [Edge(top + i, u, v) for i in range(rng.randint(0, 3))])
+            v1 = set(rng.sample(vs, rng.randint(0, len(vs) // 2))) | {u, v}
+            for k in (0, 1):
+                want = is_2ec(oracle._with_uv(
+                    g.without_vertices(v1 - {u, v}), u, v, k))
+                assert oracle._complement_2ec(g, v1, u, v, k) == want
+                seen[k, want] += 1
+        assert min(seen.values()) >= 50, seen
+
+    @staticmethod
+    def cut_side(rng, n):
+        """A cut side g1 on n vertices and its pair {u, v}: two or three
+        parts, each a lone vertex, a doubled or single edge or a 2EC graph,
+        each joined to an earlier one by one to three edges; then loops,
+        parallel copies and u–v edges. u lies in the first part, and v in
+        the second or, one time in three, the first."""
+        vs = list(range(n))
+        rng.shuffle(vs)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+        parts = [vs[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        pairs = []
+        for part in parts:
+            if len(part) >= 3:
+                h = random_2ec_graph(rng, len(part), extra=rng.randint(0, 2))
+                pairs += [(part[e.u], part[e.v]) for e in h.edges()]
+            elif len(part) == 2:
+                pairs += [tuple(part)] * rng.randint(1, 2)
+        for i, part in enumerate(parts[1:]):
+            for _ in range(rng.randint(1, 3)):
+                pairs.append((rng.choice(parts[rng.randrange(i + 1)]),
+                              rng.choice(part)))
+        for _ in range(rng.randint(0, 2)):
+            x = rng.choice(vs)
+            pairs.append((x, x))
+        for _ in range(rng.randint(0, 2)):
+            pairs.append(rng.choice(pairs))
+        u, v = rng.choice(parts[0]), rng.choice(parts[1])
+        if len(parts[0]) > 1 and rng.random() < 1 / 3:
+            v = rng.choice([x for x in parts[0] if x != u])
+        pairs += [(u, v)] * rng.randint(0, 2)
+        rng.shuffle(pairs)
+        return Graph.from_edge_list(n, pairs), u, v
+
+    def test_opt_type_matches_graph_building_search(self):
+        # sides of 8 to 14 vertices: the leaf tests on the search's arrays
+        # and the type-C refutation before it give the answers of the
+        # search that builds g1.spanning(kept) at every leaf
+        rng = random.Random(20261023)
+        fired = found = 0
+        for _ in range(200):
+            g1, u, v = self.cut_side(rng, rng.randint(8, 14))
+            for t in "ABC":
+                want = opt_typed_by_graphs(g1, u, v, t)
+                assert opt_type(g1, u, v, t) == want
+            refuted = oracle._no_type_c(g1, u, v)
+            assert not (refuted and want is not None)
+            fired += refuted
+            found += want is not None
+        assert fired >= 30 and found >= 30, (fired, found)
 
     @given(small_graphs().filter(lambda g: g.n >= 2), st.data())
     @settings(max_examples=300, deadline=None)

@@ -34,7 +34,12 @@ its vertices, with no graph built (`_complement_2ec`).
 `find_contractible_subgraph` runs the exact 2EC search only on the few
 vertex sets W that cheap tests leave open. Its set search makes only the
 connected sets in which every vertex has two edge ends, and they are
-tested in the order of `graph.connected_subsets`. For any 2EC spanning
+tested in the order of `graph.connected_subsets`. The search runs on
+bitmasks over vertex positions: W, the vertices it may not take and W's
+neighbours are ints, and each vertex has a mask of its neighbours and a
+mask of those it reaches by parallel edges, since two parallel edges
+give a vertex its two ends in W with one neighbour. A set becomes a
+frozenset of vertex ids only when it is found. For any 2EC spanning
 subgraph H of g, H ∩ E(g[W]) is a witness against W, because
 (g − E(g[W])) ∪ (H ∩ E(g[W])) contains H. So W is not contractible when
 some H keeps fewer than |E(C)|/alpha edges of g[W], C the minimum 2EC
@@ -52,6 +57,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from itertools import compress
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
@@ -362,43 +368,87 @@ def _below(x: int, alpha: Fraction) -> int:
     return math.ceil(Fraction(x) / alpha) - 1
 
 
-def _two_ended_sets(g: Graph, far: Dict[int, List[int]], kmax: int,
-                    deadline: Optional[float]
+def _two_ended_sets(nb: List[List[Tuple[int, int]]], vs: Sequence[int],
+                    kmax: int, deadline: Optional[float]
                     ) -> Iterator[Tuple[int, List[FrozenSet[int]]]]:
-    """For each anchor v of g, ascending: v and the connected sets W with
-    min(W) = v and 3 <= |W| <= kmax in which every vertex has two entries
-    of `far` (its non-loop edge ends), each set once, in no set order.
+    """For each anchor v of the graph with `_index` lists nb and vertex ids
+    vs, ascending: v and the connected sets W with min(W) = v and 3 <= |W|
+    <= kmax in which every vertex has two non-loop edge ends in W, each set
+    once, in no set order.
 
     A search node is a connected set W with the set of vertices it may not
-    take. It branches on the far ends of W's first deficient vertex, or on
-    W's boundary when none is deficient; each branch bans the earlier
-    candidates. It runs on an explicit stack, since kmax grows without
-    bound as alpha -> 1. Raises OracleBudgetError after `SUBSET_BUDGET`
-    nodes and OracleTimeout past `deadline`.
+    take. It branches on the far ends of W's first deficient member, in
+    edge order, or on W's boundary, ascending, when none is deficient; each
+    branch bans the earlier candidates. The sets do not depend on that
+    order, the node count does. A node is a few ints over vertex positions:
+    W, the banned set and the far neighbours of W are bitmasks, the members
+    that may still lack two ends a tuple of positions, oldest first. W
+    becomes a frozenset of ids only when it is emitted. Each position x has
+    a mask of its far neighbours and a mask of those it reaches by two or
+    more parallel edges: the first counts a neighbour once however many
+    edges join them, so x has two ends in W when its first mask meets W in
+    two bits or its second mask meets W at all. It runs on an explicit
+    stack, since kmax grows without bound as alpha -> 1. Raises
+    OracleBudgetError after `SUBSET_BUDGET` nodes and OracleTimeout past
+    `deadline`, both checked at every node.
     """
-    nodes = 0
-    for v in g.vertices:
-        found: List[FrozenSet[int]] = []
-        # (W, members that may lack two ends in W, oldest first, banned)
-        stack = [(frozenset((v,)), (v,), frozenset())]
+    n = len(nb)
+    far, twice = [0] * n, [0] * n
+    ends: List[List[int]] = [[] for _ in nb]  # far neighbours, in edge order
+    for x, row in enumerate(nb):
+        for y, _j in row:
+            if y == x:
+                continue
+            bit = 1 << y
+            if far[x] & bit:
+                twice[x] |= bit
+            else:
+                far[x] |= bit
+                ends[x].append(y)
+    every, nodes = range(n), 0
+    for v in every:
+        above = -2 << v  # the positions after v
+        found: List[int] = []
+        # (W, members that may lack two ends in W, banned, far neighbours
+        # of W, |W|)
+        stack = [(1 << v, (v,), 0, far[v], 1)]
         while stack:
-            w, short, banned = stack.pop()
+            w, short, banned, reach, size = stack.pop()
             nodes += 1
             if nodes > SUBSET_BUDGET:
                 raise OracleBudgetError("set search budget exhausted")
             _check_deadline(deadline, "contractibility set search")
-            while short and sum(map(w.__contains__, far[short[0]])) >= 2:
+            while short:
+                x = short[0]
+                both = far[x] & w
+                if not (both & (both - 1) or twice[x] & w):
+                    break
                 short = short[1:]
-            if not short and len(w) >= 3:
+            if not short and size >= 3:
                 found.append(w)
-            if len(w) == kmax:
+            if size == kmax:
                 continue
-            ends = far[short[0]] if short else [y for x in w for y in far[x]]
-            cands = [y for y in dict.fromkeys(ends)
-                     if y > v and y not in w and y not in banned]
-            for i, c in enumerate(cands):
-                stack.append((w | {c}, short + (c,), banned.union(cands[:i])))
-        yield v, found
+            if short:
+                x = short[0]
+                free = far[x] & above & ~(w | banned)
+                cands = [y for y in ends[x] if free >> y & 1] if free else []
+            else:
+                cands = list(_members(reach & above & ~(w | banned), every))
+            for c in cands:
+                bit = 1 << c
+                stack.append((w | bit, short + (c,), banned, reach | far[c],
+                              size + 1))
+                banned |= bit
+        yield vs[v], [frozenset(_members(w, vs)) for w in found]
+
+
+# bin(m), read back to front, holds bit i of m at index i, as '0' or '1'
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(m: int, items: Sequence[int]) -> Iterator[int]:
+    """The items at the positions of the set bits of m >= 0, ascending."""
+    return compress(items, bin(m)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def _preorder_key(nbrs: Dict[int, List[int]], v: int,
@@ -518,15 +568,14 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
     if kmax < 3:
         return None
     nb, vs = _index(g), g.vertices
-    far = {vs[x]: [vs[w] for w, _j in row if w != x]
-           for x, row in enumerate(nb)}
     certs: Optional[_Certificates] = None
-    for v, found in _two_ended_sets(g, far, kmax, deadline):
+    for v, found in _two_ended_sets(nb, vs, kmax, deadline):
         if not found:
             continue
         if certs is None:
             certs = _Certificates(g, deadline, nb)
-            nbrs = {x: sorted(set(far[x])) for x in vs}
+            nbrs = {vs[x]: sorted({vs[y] for y, _j in row if y != x})
+                    for x, row in enumerate(nb)}
             pos = {x: i for i, x in enumerate(vs)}
         # the pool only grows, so what it refutes now stays refuted
         found = [w for w in found
@@ -561,14 +610,17 @@ def _with_uv(g: Graph, u: int, v: int, k: int) -> Graph:
 
 
 def _complement_2ec(g_full: Graph, v1: Iterable[int], u: int, v: int,
-                    k: int) -> bool:
+                    k: int, full_index: Optional[List[List[Tuple[int, int]]]]
+                    = None) -> bool:
     """Is g_full − (v1 ∖ {u, v}) plus k u–v edges 2EC? Tested on the
-    `_index` rows of the vertices left, with k u–v entries appended at edge
-    positions above every real one; no graph is built."""
+    `_index` rows of the vertices left (of `full_index` when given, which
+    is g_full's), with k u–v entries appended at edge positions above every
+    real one; no graph is built."""
     vs = g_full.vertices
     drop = set(v1) - {u, v}
     keep = [i for i, x in enumerate(vs) if x not in drop]
-    nb = _sub_index(_index(g_full), keep)
+    nb = _sub_index(_index(g_full) if full_index is None else full_index,
+                    keep)
     a, b = keep.index(vs.index(u)), keep.index(vs.index(v))
     for j in range(g_full.m, g_full.m + k):
         nb[a].append((b, j))
@@ -595,18 +647,20 @@ def _no_type_c(g1: Graph, u: int, v: int) -> bool:
 
 def opt_type(g1: Graph, u: int, v: int, t: str,
              g_full: Optional[Graph] = None,
-             deadline: Optional[float] = None) -> Optional[FrozenSet[int]]:
+             deadline: Optional[float] = None,
+             full_index: Optional[List[List[Tuple[int, int]]]] = None
+             ) -> Optional[FrozenSet[int]]:
     """Minimum spanning subgraph of g1 of type t w.r.t. {u, v}, or None.
 
     When g_full is given, defined-ness additionally requires the complement
     side G2 = g_full − (V(g1) ∖ {u,v}) to admit a compatible type: 2EC for
     t='C' (pairs with type A), type A or B overall for t='B'/'A', that is
-    G2 + uv 2EC (`_complement_2ec`). For t='C', `_no_type_c` answers None
-    before any search when g1's 2-edge-connected components rule type C
-    out.
+    G2 + uv 2EC (`_complement_2ec`, on `full_index` when the caller has
+    built g_full's `_index`). For t='C', `_no_type_c` answers None before
+    any search when g1's 2-edge-connected components rule type C out.
     """
     if g_full is not None and not _complement_2ec(
-            g_full, g1.vertices, u, v, int(t != "C")):
+            g_full, g1.vertices, u, v, int(t != "C"), full_index):
         return None
     if t == "C" and _no_type_c(g1, u, v):
         return None

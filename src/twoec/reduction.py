@@ -18,9 +18,9 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
 
 from .cover import GUESS_VERTICES
 from .errors import InfeasibleError, InternalContradiction
-from .graph import (VIRTUAL_BASE, Edge, Graph, biconnected_blocks,
-                    components, cut_vertices, find_irrelevant_edge, is_2ec,
-                    two_vertex_cuts)
+from .graph import (VIRTUAL_BASE, Edge, Graph, _index, _labels, _sub_index,
+                    biconnected_blocks, cut_vertices, find_irrelevant_edge,
+                    is_2ec, two_vertex_cuts)
 from .oracle import find_contractible_subgraph, min_2ecss, opt_type
 
 ALPHA_DEFAULT = Fraction(5, 4)
@@ -175,11 +175,19 @@ def _parallel_or_loop(g: Graph) -> Optional[Edge]:
 
 
 def partition_non_isolating(g: Graph, u: int, v: int) -> CutPartition:
-    """Split V - {u,v} into two edge-disjoint sides of size >= 2 each."""
+    """Split V - {u,v} into two edge-disjoint sides of size >= 2 each.
+
+    The components of g - {u, v} are labelled on the rows of g's `_index`
+    left after u and v, with no graph built."""
     if g.n < 6:
         raise ValueError("need at least 6 vertices")
-    comps = sorted(components(g.without_vertices({u, v})),
-                   key=lambda c: (len(c), c[0]))
+    vs = g.vertices
+    keep = [i for i, x in enumerate(vs) if x != u and x != v]
+    label = _labels(_sub_index(_index(g), keep), [True] * g.m)
+    comps: List[List[int]] = [[] for _ in range(max(label, default=-1) + 1)]
+    for i, c in zip(keep, label):
+        comps[c].append(vs[i])
+    comps.sort(key=lambda c: (len(c), c[0]))
     k = len(comps)
     if k < 2 or (k == 2 and len(comps[0]) < 2):
         raise ValueError(f"{{{u},{v}}} is not a non-isolating 2-vertex cut")
@@ -228,8 +236,12 @@ def _split_two_cut(g: Graph, cut: CutPartition, alpha: Fraction,
         todo.extend(gi.contract({u, v})[0] for gi in (g2, g1))
         return frozenset()
 
-    opt_1b = opt_type(g1, u, v, "B", g_full=g, deadline=deadline)
-    opt_1c = opt_type(g1, u, v, "C", g_full=g, deadline=deadline)
+    # one index of g serves both complement checks
+    nb = _index(g)
+    opt_1b = opt_type(g1, u, v, "B", g_full=g, deadline=deadline,
+                      full_index=nb)
+    opt_1c = opt_type(g1, u, v, "C", g_full=g, deadline=deadline,
+                      full_index=nb)
 
     if opt_1c is not None and (opt_1b is None or len(opt_1c) <= len(opt_1b) - 1):
         eid = next(ids)

@@ -17,8 +17,15 @@ outputs directly, so the tests can check the solver against them:
 - `contractible_by_scan` and `two_ends_each`: the contractibility search
   as a scan of every set `connected_subsets` yields through the two-ends
   filter, which the solver's search must match set for set and in order.
+- `two_ended_sets`: the set search of the contractibility test on
+  frozensets and tuples of vertex ids; the solver's `_two_ended_sets` runs
+  it on bitmasks of vertex positions and must make the same sets and the
+  same number of nodes per anchor.
 - `irrelevant_one_at_a_time`: the irrelevant-edge rule as one component
   scan per edge, dropping the smallest-id irrelevant edge per round.
+- `partition_by_graphs`: the sides of a non-isolating 2-vertex cut read
+  off the components of a built g - {u, v}; the solver's
+  `partition_non_isolating` labels them on g's `_index` rows.
 - `min_inner_2ec`: the exact 2EC search as a recursion with one level per
   edge, against which the solver's deepening search is compared. Its
   bridge test, `BridgeArrays.is_2ec_now`, is a lowpoint DFS of its own on
@@ -54,8 +61,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 from twoec import oracle
 from twoec.bridge_cover import TcTree, _reach_paths
@@ -68,7 +75,7 @@ from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
 from twoec.oracle import (_below, _Certificates, _EdgeArrays, _with_uv,
                           find_contractible_subgraph, min_inner_edges,
                           min_tf2ec)
-from twoec.reduction import ALPHA_DEFAULT, _parallel_or_loop
+from twoec.reduction import ALPHA_DEFAULT, CutPartition, _parallel_or_loop
 
 
 # -- the structured-instance contract --------------------------------------
@@ -233,6 +240,41 @@ def two_ends_each(w: FrozenSet[int], far: Dict[int, List[int]]) -> bool:
     return True
 
 
+def two_ended_sets(g: Graph, kmax: int
+                   ) -> Iterator[Tuple[int, List[FrozenSet[int]], int]]:
+    """The solver's `_two_ended_sets` on frozensets and tuples of vertex
+    ids, with no budget or deadline: for each anchor v, ascending, v, the
+    connected sets W with min(W) = v and 3 <= |W| <= kmax that pass
+    `two_ends_each`, and the number of search nodes the anchor made. A node
+    (W, members that may lack two ends in W, banned) branches on the far
+    ends of W's first deficient member, in edge order, or on W's boundary,
+    ascending, when none is deficient. The node count depends on that
+    order (the sets do not), so it is not W's iteration order, which the
+    hash layout of the frozenset fixes."""
+    far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
+           for v in g.vertices}
+    for v in g.vertices:
+        found: List[FrozenSet[int]] = []
+        nodes = 0
+        stack = [(frozenset((v,)), (v,), frozenset())]
+        while stack:
+            w, short, banned = stack.pop()
+            nodes += 1
+            while short and sum(map(w.__contains__, far[short[0]])) >= 2:
+                short = short[1:]
+            if not short and len(w) >= 3:
+                found.append(w)
+            if len(w) == kmax:
+                continue
+            ends = far[short[0]] if short else sorted(
+                {y for x in w for y in far[x]})
+            cands = [y for y in dict.fromkeys(ends)
+                     if y > v and y not in w and y not in banned]
+            for i, c in enumerate(cands):
+                stack.append((w | {c}, short + (c,), banned.union(cands[:i])))
+        yield v, found, nodes
+
+
 def contractible_by_scan(g: Graph, alpha: Fraction) -> Optional[Graph]:
     """`find_contractible_subgraph` as a scan of every connected set, with no
     budget: each set that `connected_subsets` yields goes through the
@@ -290,6 +332,31 @@ def irrelevant_one_at_a_time(g: Graph) -> List[Graph]:
         out.append(out[-1].without_edges([e.id]))
         e = smallest_irrelevant_edge(out[-1])
     return out
+
+
+# -- the 2-cut partition on a built graph -----------------------------------
+
+
+def partition_by_graphs(g: Graph, u: int, v: int) -> CutPartition:
+    """`reduction.partition_non_isolating` with the components of g - {u, v}
+    read off a built `Graph`."""
+    if g.n < 6:
+        raise ValueError("need at least 6 vertices")
+    comps = sorted(components(g.without_vertices({u, v})),
+                   key=lambda c: (len(c), c[0]))
+    k = len(comps)
+    if k < 2 or (k == 2 and len(comps[0]) < 2):
+        raise ValueError(f"{{{u},{v}}} is not a non-isolating 2-vertex cut")
+    if k == 2:
+        a, b = set(comps[0]), set(comps[1])
+    elif k == 3:
+        a, b = set(comps[0]) | set(comps[1]), set(comps[2])
+    else:
+        a = set(comps[0]) | set(comps[1])
+        b = set().union(*comps[2:])
+    if len(a) > len(b):
+        a, b = b, a
+    return CutPartition(u, v, frozenset(a), frozenset(b))
 
 
 # -- the exact 2EC search, one recursion level per edge ----------------------

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import twoec
 from twoec import oracle
-from twoec.graph import (Edge, Graph, _index, _is_2ec, _sub_index,
-                         biconnected_blocks, connected_subsets, is_2ec,
-                         components)
+from twoec.graph import (VIRTUAL_BASE, Edge, Graph, _index, _is_2ec,
+                         _sub_index, biconnected_blocks, connected_subsets,
+                         is_2ec, components)
 from twoec.harness import generate, solve
 from twoec.oracle import (
     find_contractible_subgraph, min_2ecss, min_inner_edges, min_tf2ec,
@@ -27,7 +27,7 @@ from conftest import random_2ec_graph, random_multigraph, small_graphs
 from reference import (check_cover_matching_identity, classify_type,
                        contractible_by_scan, is_alpha_contractible,
                        max_tf2matching, min_inner_2ec, opt_typed_by_graphs,
-                       two_ec_blocks, two_ends_each)
+                       two_ec_blocks, two_ended_sets, two_ends_each)
 
 
 def c_n(n):
@@ -375,9 +375,10 @@ def chain_of_blocks(rng):
     return relabel(rng, Graph.from_edge_list(n, edges)), k
 
 
-def relabel(rng, g):
-    """g on random vertex labels and edge ids."""
-    vs = dict(zip(g.vertices, rng.sample(range(10 * g.n + 10), g.n)))
+def relabel(rng, g, base=0):
+    """g on random vertex labels from base up and random edge ids."""
+    vs = dict(zip(g.vertices, rng.sample(range(base, base + 10 * g.n + 10),
+                                         g.n)))
     ids = rng.sample(range(10 * g.m + 10), g.m)
     return Graph(vs.values(), [Edge(i, vs[e.u], vs[e.v])
                                for i, e in zip(ids, g.edges())])
@@ -442,26 +443,49 @@ class TestContractibility:
         assert find_contractible_subgraph(g, Fraction(1001, 1000)) is None
         assert time.monotonic() - start < 1
 
-    def test_two_ended_sets_match_filtered_scan(self):
-        # lone vertices, loops and parallel edges, on random vertex labels
+    def test_two_ended_sets_match_filtered_scan(self, monkeypatch):
+        # the sets of the filtered scan of every connected set; and per
+        # anchor the same sets and the same number of nodes as the search
+        # on frozensets of ids. Lone vertices, loops and parallel edges,
+        # on random vertex labels, a third of them at VIRTUAL_BASE and
+        # above like the dummy vertices of 2-cut sides. The search checks
+        # its deadline once per node, which counts them.
+        nodes = [0]
+        check = oracle._check_deadline
+
+        def counting(deadline, search):
+            nodes[0] += search == "contractibility set search"
+            check(deadline, search)
+
+        monkeypatch.setattr(oracle, "_check_deadline", counting)
         rng = random.Random(20261019)
-        total = 0
+        total, kinds = 0, Counter()
         for _ in range(300):
-            n = rng.randint(1, 11)
-            g = random_multigraph(rng, n, rng.randint(0, 2 * n + 3))
-            g = relabel(rng, g)
-            kmax = rng.randint(3, 10)
+            n = rng.randint(1, 12)
+            g = random_multigraph(rng, n, rng.randint(0, 3 * n + 3))
+            g = relabel(rng, g, rng.choice((0, 0, VIRTUAL_BASE)))
+            kmax = rng.randint(3, 12)
             far = {v: [e.other(v) for e in g.incident(v) if not e.is_loop()]
                    for v in g.vertices}
             want = {w for w in connected_subsets(g, kmax)
                     if len(w) >= 3 and two_ends_each(w, far)}
             got = []
-            for v, found in oracle._two_ended_sets(g, far, kmax, None):
-                assert all(min(w) == v for w in found)
-                got += found
-            assert len(got) == len(set(got)) and set(got) == want
-            total += len(got)
-        assert total > 1000
+            for v, found in oracle._two_ended_sets(_index(g), g.vertices,
+                                                   kmax, None):
+                assert len(found) == len(set(found))
+                got.append((v, set(found), nodes[0]))
+                nodes[0] = 0
+            assert got == [(v, set(found), count) for v, found, count
+                           in two_ended_sets(g, kmax)]
+            assert set().union(*(found for _v, found, _c in got)) == want
+            total += len(want)
+            links = [frozenset((e.u, e.v)) for e in g.edges()
+                     if not e.is_loop()]
+            kinds["virtual"] += min(g.vertices) >= VIRTUAL_BASE
+            kinds["loop"] += len(links) < g.m
+            kinds["parallel"] += len(set(links)) < len(links)
+            kinds["lone"] += any(not g.incident(x) for x in g.vertices)
+        assert total > 5000 and min(kinds.values()) >= 80, (total, kinds)
 
     def test_position_test_matches_induced_graph(self):
         # the search tests g[W] for 2EC on W's rows of g's index; on every
@@ -474,9 +498,7 @@ class TestContractibility:
             g = relabel(rng, random_multigraph(rng, n, rng.randint(n, 3 * n)))
             nb, vs = _index(g), g.vertices
             pos = {x: i for i, x in enumerate(vs)}
-            far = {vs[x]: [vs[w] for w, _j in row if w != x]
-                   for x, row in enumerate(nb)}
-            for _v, found in oracle._two_ended_sets(g, far, 8, None):
+            for _v, found in oracle._two_ended_sets(nb, vs, 8, None):
                 for w in found:
                     want = is_2ec(g.induced(w))
                     assert _is_2ec(_sub_index(nb, [pos[x] for x in w])) \
@@ -741,11 +763,15 @@ class TestTypes:
             g = g.with_edges(
                 [Edge(top + i, u, v) for i in range(rng.randint(0, 3))])
             v1 = set(rng.sample(vs, rng.randint(0, len(vs) // 2))) | {u, v}
+            nb = _index(g)
             for k in (0, 1):
                 want = is_2ec(oracle._with_uv(
                     g.without_vertices(v1 - {u, v}), u, v, k))
                 assert oracle._complement_2ec(g, v1, u, v, k) == want
+                # on an index of g that the caller shares between checks
+                assert oracle._complement_2ec(g, v1, u, v, k, nb) == want
                 seen[k, want] += 1
+            assert nb == _index(g)
         assert min(seen.values()) >= 50, seen
 
     @staticmethod

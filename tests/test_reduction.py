@@ -1,20 +1,25 @@
+import itertools
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from twoec import reduction
 from twoec.errors import InfeasibleError, InternalContradiction
-from twoec.graph import VIRTUAL_BASE, Edge, Graph, is_2ec, is_2vc
+from twoec.graph import (VIRTUAL_BASE, Edge, Graph, components, is_2ec,
+                         is_2vc)
 from twoec.harness import solve
 from twoec.oracle import min_2ecss
 from twoec.reduction import (CutPartition, ReductionTrace, handle_two_cut,
                              partition_non_isolating, reduce)
 
+import test_graph
 from conftest import random_2ec_graph
-from reference import irrelevant_one_at_a_time, is_structured
+from reference import (irrelevant_one_at_a_time, is_structured,
+                       partition_by_graphs)
 
 
 def exact_alg(g):
@@ -58,6 +63,45 @@ class TestPartition:
         g = Graph.from_edge_list(6, cycle(6))
         with pytest.raises(ValueError):
             partition_non_isolating(g, 0, 2)  # isolates vertex 1
+
+    def test_matches_graph_building_partition(self, rng):
+        # the same sides, or the same ValueError, as the partition that
+        # builds g - {u, v}: at every pair of the cut scan's seeded
+        # 2-connected inputs, of random 2-connected graphs and of 3-5
+        # chains between 0 and 1, up to 12 vertices, and at 30 pairs of
+        # each larger one
+        graphs = test_graph.TestCuts.cut_inputs() + [
+            random_2ec_graph(rng, rng.randint(3, 16)) for _ in range(150)]
+        for _ in range(40):
+            pairs, n = [], 2
+            for _chain in range(rng.randint(3, 5)):
+                k = rng.randint(1, 3)
+                path = [0, *range(n, n + k), 1]
+                pairs += zip(path, path[1:])
+                n += k
+            graphs.append(Graph.from_edge_list(n, pairs))
+        kinds = Counter()
+        for g in graphs:
+            pairs = list(itertools.combinations(g.vertices, 2))
+            if g.n > 12:
+                pairs = rng.sample(pairs, 30)
+            for u, v in pairs:
+                try:
+                    want = partition_by_graphs(g, u, v)
+                except ValueError as exc:
+                    want = str(exc)
+                try:
+                    got = partition_non_isolating(g, u, v)
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want
+                if isinstance(want, str):
+                    kinds["small" if want.startswith("need") else "no cut"] \
+                        += 1
+                else:
+                    kinds[min(len(components(g.without_vertices([u, v]))),
+                              4)] += 1
+        assert min(kinds.values()) >= 30 and len(kinds) == 5, kinds
 
 
 class TestReduceSmall:

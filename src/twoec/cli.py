@@ -96,9 +96,7 @@ def cmd_verify(args) -> int:
     verdict = verify(g, ids)
     out = {"instance": instance_hash(g), "size": len(set(ids)), **verdict}
     if args.with_opt and verdict["status"] == "OK":
-        opt = min_2ecss(g, _deadline(args), args.oracle_vertex_cap)
-        out["opt"] = len(opt)
-        out["ratio"] = str(Fraction(len(set(ids)), len(opt)))
+        out = report_with_opt(g, out, _deadline(args), args.oracle_vertex_cap)
     _write(args.report, report_json(out))
     return 0 if verdict["status"] == "OK" else 1
 

@@ -22,7 +22,6 @@ from .graph import (Graph, bridges, components, connected_subsets,
 from .oracle import min_tf2ec
 
 GUESS_VERTICES = 8
-GUESS_EDGES = 7
 
 
 # -- guess enumeration -----------------------------------------------------
@@ -35,56 +34,28 @@ def enumerate_guesses(g: Graph) -> Iterator[FrozenSet[int]]:
     lexicographic edge-id tuple within a set.
     """
     for w in connected_subsets(g, GUESS_VERTICES):
-        if len(w) < GUESS_VERTICES:
-            continue
-        sub = g.induced(w)
-        if sub.m < GUESS_EDGES:
-            continue
-        yield from _spanning_trees(sub)
+        if len(w) == GUESS_VERTICES:
+            yield from _spanning_trees(g.induced(w))
 
 
 def _spanning_trees(sub: Graph) -> Iterator[FrozenSet[int]]:
-    """Spanning trees of sub in lex order of their sorted edge-id tuples."""
-    eids = sub.edge_ids()
-    n = sub.n
-    verts = {v: i for i, v in enumerate(sub.vertices)}
-
-    def find(parent: List[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def connected_with(rest: List[int], chosen: List[int]) -> bool:
-        parent = list(range(n))
-        cnt = n
-        for eid in chosen + rest:
-            e = sub.edge(eid)
-            a, b = find(parent, verts[e.u]), find(parent, verts[e.v])
-            if a != b:
-                parent[a] = b
-                cnt -= 1
-        return cnt == 1
-
-    def rec(idx: int, chosen: List[int], parent: List[int], comps: int
-            ) -> Iterator[FrozenSet[int]]:
-        if comps == 1:
-            yield frozenset(chosen)
-            return
-        if idx == len(eids):
-            return
-        eid = eids[idx]
-        e = sub.edge(eid)
-        a, b = find(parent, verts[e.u]), find(parent, verts[e.v])
-        if a != b:
-            p2 = list(parent)
-            p2[a] = b
-            yield from rec(idx + 1, chosen + [eid], p2, comps - 1)
-        # skipping eid must leave enough connectivity to finish
-        if connected_with(eids[idx + 1:], chosen):
-            yield from rec(idx + 1, chosen, parent, comps)
-
-    yield from rec(0, [], list(range(n)), n)
+    """Spanning trees of sub in lex order of their sorted edge-id tuples:
+    the (n - 1)-edge combinations of its ascending edge ids that close no
+    cycle."""
+    pos = {v: i for i, v in enumerate(sub.vertices)}
+    edges = [(e.id, pos[e.u], pos[e.v]) for e in sub.edges()]
+    for tree in itertools.combinations(edges, sub.n - 1):
+        root = list(range(sub.n))
+        for _, a, b in tree:
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a == b:
+                break
+            root[a] = b
+        else:
+            yield frozenset(eid for eid, _, _ in tree)
 
 
 # -- constrained minimum triangle-free 2-edge cover ------------------------

@@ -401,14 +401,10 @@ def _commit(ctx: GlueContext, new_edges: Set[int], rule: str
 # -- the individual merge rules --------------------------------------------
 
 
-def glue_adjacent(ctx: GlueContext, c1: int, c2: int, u1: int, v1: int,
+def glue_adjacent(ctx: GlueContext, c1: int, c2: int, path: List[int],
                   e_anchor: Edge, e_out: Edge):
-    """Replace the short cycle c1 by a Hamiltonian u1,v1-path and close a
+    """Replace the short cycle c1 by its Hamiltonian path `path` and close a
     component-level cycle through the anchor with the two given edges."""
-    vs1 = ctx.comp_vertices(c1)
-    path = hamiltonian_path(ctx.g, vs1, u1, v1)
-    if path is None:
-        return None
     fids = {e_anchor.id, e_out.id}
     if c2 != ctx.anchor:
         link = path_avoiding(ctx.ghat.graph, [c2], [ctx.anchor], [c1])
@@ -431,14 +427,14 @@ def _find_adjacent_move(ctx: GlueContext):
             if not anchors:
                 continue
             for v1 in sorted(vs - {u1}):
-                if hamiltonian_path(ctx.g, vs, u1, v1) is None:
+                path = hamiltonian_path(ctx.g, vs, u1, v1)
+                if path is None:
                     continue
                 for e_out in ctx.g.incident(v1):
                     c2 = ctx.ghat.node_of(e_out.other(v1))
                     if c2 == c1:
                         continue
-                    got = glue_adjacent(ctx, c1, c2, u1, v1,
-                                        anchors[0], e_out)
+                    got = glue_adjacent(ctx, c1, c2, path, anchors[0], e_out)
                     if got is not None:
                         return got
     return None

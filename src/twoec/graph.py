@@ -596,57 +596,48 @@ def connected_subsets(g: Graph, kmax: int) -> Iterator[FrozenSet[int]]:
 
 
 def hamiltonian_path(g: Graph, w: Iterable[int], u: int, v: int) -> Optional[List[int]]:
-    """A Hamiltonian u,v-path in g[w], or None. Bitmask DP, |w| <= 8."""
+    """A Hamiltonian u,v-path in g[w], or None. Bitmask DP, |w| <= 8.
+
+    A path with u = v exists only for w = {u}. Of several paths it returns
+    the one that, walked back from v, steps each time to the smallest
+    neighbour at which some u-path through the vertices not yet walked
+    ends."""
     ws = sorted(set(w))
     k = len(ws)
     if k > 8:
         raise ValueError("hamiltonian_path capped at 8 vertices")
     if u not in ws or v not in ws:
         return None
-    if k == 1:
-        return [u] if u == v else None
-    if u == v:
-        return None
     idx = {x: i for i, x in enumerate(ws)}
-    wset = set(ws)
     nbr = [0] * k
     for x in ws:
         for y in g.neighbors(x):
-            if y in wset:
+            if y in idx:
                 nbr[idx[x]] |= 1 << idx[y]
     ui, vi = idx[u], idx[v]
-    full = (1 << k) - 1
-    # parent[(mask, last)] for path reconstruction
-    start = 1 << ui
-    reach: Dict[int, int] = {start: 1 << ui}  # mask -> bitset of possible last vertices
-    parent: Dict[Tuple[int, int], int] = {}
-    order = sorted(range(1, full + 1), key=lambda m: (bin(m).count("1"), m))
-    for mask in order:
-        if not (mask & start):
-            continue
-        lasts = reach.get(mask)
-        if not lasts:
-            continue
-        for last in range(k):
-            if not (lasts >> last) & 1:
-                continue
+    start, full = 1 << ui, (1 << k) - 1
+    # reach[mask]: the possible last vertices of a path from u through
+    # exactly mask; every predecessor of a mask is a smaller number
+    reach = [0] * (full + 1)
+    reach[start] = start
+    for mask in range(start, full + 1):
+        lasts = reach[mask]
+        while lasts:
+            last = (lasts & -lasts).bit_length() - 1
+            lasts &= lasts - 1
             ext = nbr[last] & ~mask
             while ext:
-                nxt = (ext & -ext).bit_length() - 1
-                ext &= ext - 1
-                nm = mask | (1 << nxt)
-                prev = reach.get(nm, 0)
-                if not (prev >> nxt) & 1:
-                    reach[nm] = prev | (1 << nxt)
-                    parent[(nm, nxt)] = last
-    if not ((reach.get(full, 0) >> vi) & 1):
+                bit = ext & -ext
+                ext ^= bit
+                reach[mask | bit] |= bit
+    if not (reach[full] >> vi) & 1:
         return None
     path = [vi]
     mask, last = full, vi
     while mask != start:
-        p = parent[(mask, last)]
-        mask &= ~(1 << last)
-        last = p
+        mask ^= 1 << last
+        prev = reach[mask] & nbr[last]
+        last = (prev & -prev).bit_length() - 1
         path.append(last)
     path.reverse()
     return [ws[i] for i in path]

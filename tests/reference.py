@@ -55,6 +55,15 @@ outputs directly, so the tests can check the solver against them:
 - `component_graph`: a cover's components found by their own search and
   contracted; the glue step's `gluing.component_graph`, built from
   `cover.pieces`, must give the same contraction and node maps.
+- `guesses_by_recursion`: the structured solver's guess trees, each vertex
+  set's trees made by a recursion that includes an edge before it skips
+  it and rebuilds a union-find at every node; `cover.enumerate_guesses`,
+  which filters `itertools.combinations` of the edges, must yield the
+  same sequence.
+- `hamiltonian_path_by_popcount`: the Hamiltonian path DP over masks
+  sorted by popcount, with a parent per (mask, last vertex);
+  `graph.hamiltonian_path`, one ascending pass and a walk back, must
+  return the same path or None.
 """
 
 import math
@@ -779,3 +788,124 @@ def baseline_dfs2(g: Graph) -> FrozenSet[int]:
     sub = g.spanning(out)
     assert is_2ec(sub) and sub.n == g.n
     return out
+
+
+# -- the guess trees by recursion, and Hamiltonian paths by popcount order ----
+
+
+def guesses_by_recursion(g: Graph) -> Iterator[FrozenSet[int]]:
+    """All 7-edge trees of g spanning 8 vertices, each exactly once.
+
+    Grouped by vertex set (ascending anchor, extension order), then by
+    lexicographic edge-id tuple within a set.
+    """
+    for w in connected_subsets(g, 8):
+        if len(w) < 8:
+            continue
+        sub = g.induced(w)
+        if sub.m < 7:
+            continue
+        yield from spanning_trees_by_recursion(sub)
+
+
+def spanning_trees_by_recursion(sub: Graph) -> Iterator[FrozenSet[int]]:
+    """Spanning trees of sub in lex order of their sorted edge-id tuples."""
+    eids = sub.edge_ids()
+    n = sub.n
+    verts = {v: i for i, v in enumerate(sub.vertices)}
+
+    def find(parent: List[int], x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def connected_with(rest: List[int], chosen: List[int]) -> bool:
+        parent = list(range(n))
+        cnt = n
+        for eid in chosen + rest:
+            e = sub.edge(eid)
+            a, b = find(parent, verts[e.u]), find(parent, verts[e.v])
+            if a != b:
+                parent[a] = b
+                cnt -= 1
+        return cnt == 1
+
+    def rec(idx: int, chosen: List[int], parent: List[int], comps: int
+            ) -> Iterator[FrozenSet[int]]:
+        if comps == 1:
+            yield frozenset(chosen)
+            return
+        if idx == len(eids):
+            return
+        eid = eids[idx]
+        e = sub.edge(eid)
+        a, b = find(parent, verts[e.u]), find(parent, verts[e.v])
+        if a != b:
+            p2 = list(parent)
+            p2[a] = b
+            yield from rec(idx + 1, chosen + [eid], p2, comps - 1)
+        # skipping eid must leave enough connectivity to finish
+        if connected_with(eids[idx + 1:], chosen):
+            yield from rec(idx + 1, chosen, parent, comps)
+
+    yield from rec(0, [], list(range(n)), n)
+
+
+def hamiltonian_path_by_popcount(g: Graph, w: Iterable[int], u: int,
+                                 v: int) -> Optional[List[int]]:
+    """A Hamiltonian u,v-path in g[w], or None: a bitmask DP over the masks
+    sorted by popcount, with a parent per (mask, last vertex)."""
+    ws = sorted(set(w))
+    k = len(ws)
+    if k > 8:
+        raise ValueError("hamiltonian_path capped at 8 vertices")
+    if u not in ws or v not in ws:
+        return None
+    if k == 1:
+        return [u] if u == v else None
+    if u == v:
+        return None
+    idx = {x: i for i, x in enumerate(ws)}
+    wset = set(ws)
+    nbr = [0] * k
+    for x in ws:
+        for y in g.neighbors(x):
+            if y in wset:
+                nbr[idx[x]] |= 1 << idx[y]
+    ui, vi = idx[u], idx[v]
+    full = (1 << k) - 1
+    # parent[(mask, last)] for path reconstruction
+    start = 1 << ui
+    reach: Dict[int, int] = {start: 1 << ui}  # mask -> bitset of possible last vertices
+    parent: Dict[Tuple[int, int], int] = {}
+    order = sorted(range(1, full + 1), key=lambda m: (bin(m).count("1"), m))
+    for mask in order:
+        if not (mask & start):
+            continue
+        lasts = reach.get(mask)
+        if not lasts:
+            continue
+        for last in range(k):
+            if not (lasts >> last) & 1:
+                continue
+            ext = nbr[last] & ~mask
+            while ext:
+                nxt = (ext & -ext).bit_length() - 1
+                ext &= ext - 1
+                nm = mask | (1 << nxt)
+                prev = reach.get(nm, 0)
+                if not (prev >> nxt) & 1:
+                    reach[nm] = prev | (1 << nxt)
+                    parent[(nm, nxt)] = last
+    if not ((reach.get(full, 0) >> vi) & 1):
+        return None
+    path = [vi]
+    mask, last = full, vi
+    while mask != start:
+        p = parent[(mask, last)]
+        mask &= ~(1 << last)
+        last = p
+        path.append(last)
+    path.reverse()
+    return [ws[i] for i in path]

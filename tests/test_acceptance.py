@@ -1,10 +1,11 @@
 """End-to-end acceptance suite.
 
 Nine checks: exactness at the brute-force base case, the 5/4 ratio
-against the exact oracle, the cover/matching duality identity, per-move
-cost audits over a large corpus, canonical-cover properties, the
-structured-instance contract at dispatch, the search-guarantee monitors,
-the DFS baseline comparison, and byte-identical determinism.
+against the exact oracle (and past its reach against a lower bound), the
+cover/matching duality identity, per-move cost audits over a large
+corpus, canonical-cover properties, the structured-instance contract at
+dispatch, the search-guarantee monitors, the DFS baseline comparison,
+and byte-identical determinism.
 """
 
 import math
@@ -23,7 +24,7 @@ from twoec.gluing import build_context, glue_all, local_3_matching
 from twoec.graph import Edge, Graph, bridges, components, is_2ec
 from twoec.harness import (baseline_dfs2, generate, report_json, solve,
                            structured_solver)
-from twoec.oracle import min_2ecss
+from twoec.oracle import min_2ecss, min_tf2ec
 from twoec.reduction import reduce
 
 from conftest import random_2ec_graph
@@ -186,6 +187,26 @@ class TestRatioBound:
                 wins += 1
         frac = wins / len(corpus)
         print(f"[baseline] paper54 <= dfs2approx on {frac:.0%} of corpus")
+
+
+class TestScaleAudit:
+    def test_lower_bound_certifies_every_instance(self):
+        # past the exact oracle's reach the ratio is certified by a lower
+        # bound: OPT >= n, and for n >= 4 OPT >= |min_tf2ec(g)|, since a
+        # 2EC spanning subgraph is then a triangle-free 2-edge cover; an
+        # instance neither bound certifies fails, it is never dropped
+        rows = [(family, 80, 0.3) for family in (
+            "hamiltonian_plus_chords", "cycle_of_cliques",
+            "structured_stress")]
+        rows += [("gnp_2ec", 20, 0.3), ("gnp_2ec", 22, 0.25)]
+        for family, n, density in rows:
+            for seed in range(3):
+                g = generate(family, n, seed, density=density)
+                sol, report = solve(g)
+                assert report["verdict"] == "OK" and is_2ec(g.spanning(sol))
+                bound = max(g.n, len(min_tf2ec(g)))
+                assert 4 * len(sol) <= 5 * bound, \
+                    (family, n, seed, len(sol), bound)
 
 
 # -- criterion 3: cover/matching duality identity --------------------------

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -5,7 +7,7 @@ import pytest
 
 from twoec.cover import (canonical_violations, canonicalize, cover_cost,
                          enumerate_guesses, initial_cover, is_tf2ec)
-from twoec.graph import Graph, components
+from twoec.graph import Edge, Graph, components
 
 import reference
 from conftest import gnp_2ec, random_2ec_graph, random_covers
@@ -44,6 +46,29 @@ class TestGuesses:
             assert len(f) == 7 and sub.n == 8
             assert len(components(sub)) == 1  # connected + 7 edges => tree
         assert seen
+
+    def test_matches_recursive_enumerator(self):
+        # the same trees in the same order as the recursion that includes an
+        # edge before it skips it: on K8 (262,144 trees) and on 200
+        # multigraphs with loops, parallel edges and arbitrary ids
+        rng = random.Random(20261021)
+        graphs = [Graph.from_edge_list(8, [(a, b) for a in range(8)
+                                           for b in range(a + 1, 8)])]
+        for _ in range(200):
+            n = rng.randint(8, 10)
+            vs = rng.sample(range(3 * n), n)
+            m = rng.randint(n - 1, n + 7)
+            graphs.append(Graph(vs, [
+                Edge(i, rng.choice(vs), rng.choice(vs))
+                for i in rng.sample(range(4 * m + 1), m)]))
+        kinds = Counter()
+        for g in graphs:
+            got = list(enumerate_guesses(g))
+            assert got == list(reference.guesses_by_recursion(g))
+            kinds["trees"] += bool(got)
+            kinds["loop"] += any(e.is_loop() for e in g.edges())
+            kinds["parallel"] += len({e.ends for e in g.edges()}) < g.m
+        assert min(kinds.values()) >= 100, kinds
 
 
 class TestInitialCover:

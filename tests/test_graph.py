@@ -547,6 +547,30 @@ class TestHamiltonianPath:
         assert hamiltonian_path(g, [2], 2, 2) == [2]
         assert hamiltonian_path(g, [0, 1], 0, 0) is None
 
+    def test_matches_popcount_dp(self):
+        # the same path, or None, as the DP over masks sorted by popcount,
+        # for every ordered pair of a vertex set w (and an end outside w)
+        # on 300 multigraphs with loops, parallel edges and arbitrary ids
+        rng = random.Random(20261021)
+        calls = found = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            vs = rng.sample(range(3 * n), n)
+            m = rng.randint(0, 3 * n)
+            g = Graph(vs, [Edge(i, rng.choice(vs), rng.choice(vs))
+                           for i in rng.sample(range(4 * m + 1), m)])
+            ws = [vs[:8]] + [rng.sample(vs, rng.randint(1, min(n, 8)))
+                             for _ in range(2)]
+            for w in ws:
+                for u in w + [3 * n]:
+                    for v in w:
+                        got = hamiltonian_path(g, w, u, v)
+                        assert got == reference.hamiltonian_path_by_popcount(
+                            g, w, u, v)
+                        calls += 1
+                        found += got is not None
+        assert calls > 15000 and found > 2000, (calls, found)
+
 
 class TestMatchingAndPaths:
     def test_find_cross_matching_bruteforce(self, rng):

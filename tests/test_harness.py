@@ -542,6 +542,34 @@ class TestCli:
                 assert row["paper54"] is None
                 assert row.get("opt", None) is None and "ratio" not in row
 
+    def test_verify_with_opt(self, tmp_path, capsys):
+        # the optimum and ratio of `solve --with-opt`, on its own solution
+        # and on every edge of the graph; a mismatch gets no optimum
+        for family, n, m, opt, all_ratio in (
+                ("gnp_2ec", 10, 14, 10, "7/5"),
+                ("hamiltonian_plus_chords", 12, 18, 12, "3/2")):
+            inst, rep = tmp_path / "i.txt", tmp_path / "r.json"
+            self.run(["gen", family, "--n", str(n), "--seed", "1",
+                      "--out", str(inst)], capsys)
+            self.run(["solve", str(inst), "--with-opt", "--report", str(rep)],
+                     capsys)
+            solved = json.loads(rep.read_text())
+            assert (solved["opt"], solved["ratio"]) == (opt, "1")
+            for sol, size, ratio in ((solved["solution"], opt, "1"),
+                                     (range(m), m, all_ratio),
+                                     (range(1, m), m - 1, None)):
+                path = tmp_path / "s.sol"
+                path.write_text(" ".join(map(str, sol)))
+                code, out, _ = self.run(["verify", str(inst), str(path),
+                                         "--with-opt"], capsys)
+                got = json.loads(out)
+                assert got["size"] == size
+                if ratio is None:
+                    assert code == 1 and "opt" not in got and "ratio" not in got
+                else:
+                    assert code == 0
+                    assert (got["opt"], got["ratio"]) == (opt, ratio)
+
     def test_compare_with_opt(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
         self.run(["gen", "gnp_2ec", "--n", "11", "--seed", "2",

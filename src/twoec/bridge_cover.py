@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import InternalContradiction
-from .graph import Graph, components
+from .graph import Graph
 from .cover import canonical_violations, cover_cost, pieces, _is_coarsening
 
 
@@ -187,23 +187,23 @@ def _longest_tree_path(tc: TcTree) -> List[int]:
 
 
 def _branch_partition(tc: TcTree, path: List[int]) -> Dict[int, Set[int]]:
-    """Nodes hanging off path[i] (i >= 1), grouped by attachment index."""
-    pset = set(path)
-    index = {v: i for i, v in enumerate(path)}
-    rest = tc.tree.without_vertices(pset)
+    """Nodes hanging off path[i] (i >= 1), grouped by attachment index.
+
+    One BFS of the tree from the whole path: each branch meets the path
+    at one node, whose index its nodes inherit."""
+    attach = {v: i for i, v in enumerate(path)}
+    queue = deque(path)
     out: Dict[int, Set[int]] = {}
-    for comp in components(rest):
-        cset = set(comp)
-        attach = None
-        for e in tc.tree.edges():
-            if (e.u in cset) != (e.v in cset):
-                anchor = e.u if e.u in pset else e.v
-                if anchor in pset:
-                    attach = index[anchor]
-        if attach is None or attach == 0:
-            raise InternalContradiction("branch not attached to spine interior",
-                                        counterexample=(tc.g, path))
-        out.setdefault(attach, set()).update(cset)
+    while queue:
+        x = queue.popleft()
+        for y in tc.tree.neighbors(x):
+            if y not in attach:
+                attach[y] = attach[x]
+                out.setdefault(attach[y], set()).add(y)
+                queue.append(y)
+    if 0 in out:
+        raise InternalContradiction("branch not attached to spine interior",
+                                    counterexample=(tc.g, path))
     return out
 
 

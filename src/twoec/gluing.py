@@ -11,6 +11,7 @@ with every move.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InternalContradiction
@@ -148,65 +149,49 @@ def _anchored_cycle(ctx: GlueContext, r1: int, r2: int,
     net = FlowNet()
     src, snk = ("src",), ("snk",)
 
+    def gate(end, pair, r, k):
+        """Arcs between `end` and component r: out of the source for k = 1,
+        into the sink (every arc reversed) for k = 2. Returns the flow node
+        each usable vertex of r meets the cycle's edges at."""
+        if pair is None:
+            return dict.fromkeys(ctx.comp_vertices(r), end)
+
+        def arc(a, b):
+            net.add_arc(*((a, b) if k == 1 else (b, a)), None)
+        for i in (0, 1):
+            arc(end, (k, i))
+        seen = sorted(set(pair[0]) | set(pair[1]))
+        for v in seen:
+            arc((k, v, "gate"), (k, v, "edge"))
+        for i in (0, 1):
+            for v in sorted(set(pair[i])):
+                arc((k, i), (k, v, "gate"))
+        return {v: (k, v, "edge") for v in seen}
+
+    at1, at2 = gate(src, gate1, r1, 1), gate(snk, gate2, r2, 2)
+
     def ok(rep: int) -> bool:
-        return allowed is None or rep in allowed or rep in (r1, r2)
+        return allowed is None or rep in allowed
 
-    if gate1 is not None:
-        seen1 = set(gate1[0]) | set(gate1[1])
-        for i in (0, 1):
-            net.add_arc(src, ("g1", i), None)
-        for v in sorted(seen1):
-            net.add_arc(("v1i", v), ("v1o", v), None)
-        for i in (0, 1):
-            for v in sorted(set(gate1[i])):
-                net.add_arc(("g1", i), ("v1i", v), None)
-
-        def out1(v):
-            return ("v1o", v)
-        allow1 = seen1
-    else:
-        def out1(v):
-            return src
-        allow1 = set(ctx.comp_vertices(r1))
-
-    if gate2 is not None:
-        seen2 = set(gate2[0]) | set(gate2[1])
-        for i in (0, 1):
-            net.add_arc(("g2", i), snk, None)
-        for v in sorted(seen2):
-            net.add_arc(("v2i", v), ("v2o", v), None)
-        for i in (0, 1):
-            for v in sorted(set(gate2[i])):
-                net.add_arc(("v2o", v), ("g2", i), None)
-
-        def in2(v):
-            return ("v2i", v)
-        allow2 = seen2
-    else:
-        def in2(v):
-            return snk
-        allow2 = set(ctx.comp_vertices(r2))
+    def place(x, mine, at, theirs, split):
+        """The flow node an edge end at x uses: r1 only as a tail, r2 only
+        as a head, any other allowed component through its ci -> co split."""
+        c = ctx.ghat.node_of(x)
+        if c == mine:
+            return at.get(x)
+        return None if c == theirs or not ok(c) else (split, c)
 
     for rep in sorted(ctx.ghat.node_vertices):
         if rep not in (r1, r2) and ok(rep):
             net.add_arc(("ci", rep), ("co", rep), None)
     for e in ctx.g.edges():
-        cu, cv = ctx.ghat.node_of(e.u), ctx.ghat.node_of(e.v)
-        if cu == cv:
+        if ctx.ghat.node_of(e.u) == ctx.ghat.node_of(e.v):
             continue
-        for x, cx, y, cy in ((e.u, cu, e.v, cv), (e.v, cv, e.u, cu)):
-            if cx == r1 and cy == r2:
-                if x in allow1 and y in allow2:
-                    net.add_arc(out1(x), in2(y), e)
-            elif cx == r1:
-                if ok(cy) and cy != r2 and x in allow1:
-                    net.add_arc(out1(x), ("ci", cy), e)
-            elif cy == r2:
-                if ok(cx) and cx != r1 and y in allow2:
-                    net.add_arc(("co", cx), in2(y), e)
-            elif cx != r2 and cy != r1:
-                if ok(cx) and ok(cy):
-                    net.add_arc(("co", cx), ("ci", cy), e)
+        for x, y in ((e.u, e.v), (e.v, e.u)):
+            tail = place(x, r1, at1, r2, "co")
+            head = place(y, r2, at2, r1, "ci")
+            if tail is not None and head is not None:
+                net.add_arc(tail, head, e)
 
     if net.max_flow(src, snk, 2) < 2:
         return None
@@ -554,36 +539,31 @@ def _reroute_distinct(ctx: GlueContext, fids: List[int], c1: int, u1: int):
         ui = me.u if me.u in vs1 else me.v
         if ui == u1:
             continue
-        xrep = ctx.ghat.node_of(me.other(ui))
-        if xrep in nbrs:
-            drop = _cycle_edge_between(ctx, fids, c1, xrep)
-            nids = [i for i in fids if i != drop] + [me.id]
-            atts = _attachments(ctx, nids, c1)
-            if len(atts) == 2 and atts[0] != atts[1]:
-                return nids, atts[0], atts[1]
-            continue
-        if xrep in nodes or xrep not in ctx.block:
-            continue
-        path = path_avoiding(ctx.ghat.graph, [xrep], sorted(nodes - {c1}),
-                             [c1])
-        if path is None:
-            continue
-        last = path[-1]
-        landing = last.u if last.u in nodes else last.v
-        if landing in nbrs:
-            drop = _cycle_edge_between(ctx, fids, c1, landing)
-            nids = [i for i in fids if i != drop] + [me.id] \
-                + [pe.id for pe in path]
+        land = ctx.ghat.node_of(me.other(ui))
+        # swap the cycle edge c1-land for me, or detour from me's far end
+        # back to the cycle and land on a component other than c1
+        path: List[Edge] = []
+        if land not in nbrs:
+            if land in nodes:
+                continue
+            path = path_avoiding(ctx.ghat.graph, [land],
+                                 sorted(nodes - {c1}), [c1])
+            if path is None:
+                continue
+            land = path[-1].u if path[-1].u in nodes else path[-1].v
+        if land in nbrs:
+            drop = _cycle_edge_between(ctx, fids, c1, land)
+            keep = [i for i in fids if i != drop]
         else:
             # walk from the landing component back to c1 along the side of
             # the old cycle that keeps the anchor on board
-            keep = _arc_keeping(ctx, fids, landing, c1, ctx.anchor)
+            keep = _arc_keeping(ctx, fids, land, c1, ctx.anchor)
             if keep is None:
                 continue
-            nids = keep + [me.id] + [pe.id for pe in path]
+        nids = keep + [me.id] + [pe.id for pe in path]
         atts = _attachments(ctx, nids, c1)
         if len(atts) == 2 and atts[0] != atts[1] \
-                and len(_cycle_comps(ctx, nids)) >= 4:
+                and (not path or len(_cycle_comps(ctx, nids)) >= 4):
             return nids, atts[0], atts[1]
     raise InternalContradiction("could not unpin the merge cycle", g)
 
@@ -595,27 +575,13 @@ def _arc_keeping(ctx: GlueContext, fids: List[int], start: int, end: int,
     seq = _cycle_sequence(ctx, fids)
     if seq is None or start not in seq or end not in seq:
         return None
-    order = list(seq)
-    i, j = order.index(start), order.index(end)
-    n = len(order)
-    for direction in (1, -1):
-        arc_nodes = []
-        k = i
-        while True:
-            arc_nodes.append(order[k % n])
-            if order[k % n] == end:
-                break
-            k += direction
-            if len(arc_nodes) > n:
-                return None
-        if want in arc_nodes:
-            ids = []
-            for a, b in zip(arc_nodes, arc_nodes[1:]):
-                eid = _cycle_edge_between(ctx, fids, a, b)
-                if eid is None:
-                    return None
-                ids.append(eid)
-            return ids
+    i, n = seq.index(start), len(seq)
+    for step in (1, -1):
+        arc = [seq[(i + step * k) % n] for k in range(n)]
+        arc = arc[:arc.index(end) + 1]
+        if want in arc:
+            return [_cycle_edge_between(ctx, fids, a, b)
+                    for a, b in zip(arc, arc[1:])]
     return None
 
 
@@ -737,7 +703,7 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
         by_vertex[e.u if e.u in vs1 else e.v] = e
     order = _cycle_order(ctx, c1)
     pos = {v: i for i, v in enumerate(order)}
-    for a, b in ((trio[0], trio[1]), (trio[0], trio[2]), (trio[1], trio[2])):
+    for a, b in combinations(trio, 2):
         if (pos[a] - pos[b]) % m1 in (1, m1 - 1):
             raise InternalContradiction(
                 "cycle-adjacent matched pair survived the adjacency scan", g)
@@ -757,13 +723,8 @@ def glue_c6_c7(ctx: GlueContext, c1: int):
         raise InternalContradiction(
             "6/7-cycle has no escape edge off the matched trio", g)
     x1, xe, xrep = escape
-    lab = None
-    for a, b in ((trio[0], trio[1]), (trio[0], trio[2]),
-                 (trio[1], trio[2]), (trio[1], trio[0]),
-                 (trio[2], trio[0]), (trio[2], trio[1])):
-        if x1 in _shortest_arc_interior(order, a, b):
-            lab = (a, b)
-            break
+    lab = next((ab for ab in combinations(trio, 2)
+                if x1 in _shortest_arc_interior(order, *ab)), None)
     if lab is None:
         raise InternalContradiction(
             "escape vertex misses every shortest matched arc", g)
@@ -911,9 +872,7 @@ def glue_step(g: Graph, s: FrozenSet[int]) -> Tuple[FrozenSet[int], GlueMove]:
     got = _anchored_cycle(ctx, c2, C, allowed=B)
     if got is None:
         raise InternalContradiction("block admits no cycle through anchor", g)
-    ids = got[0]
-    if len(_cycle_comps(ctx, ids)) < min(3, len(B)):
-        ids = _extend_cycle(ctx, ids, B, 3)
+    ids = _extend_cycle(ctx, got[0], B, 3)
     if len(_cycle_comps(ctx, ids)) < 3:
         raise InternalContradiction("anchor cycle stuck below 3 components", g)
     return _commit(ctx, set(s) | set(ids), "cycle_merge")

@@ -135,27 +135,28 @@ def gen_hamiltonian_plus_chords(n: int, chords: int, seed: int) -> Graph:
 def gen_cycle_of_cliques(n: int, seed: int, clique: int = 4) -> Graph:
     if n < 3:
         raise InfeasibleError("cycle_of_cliques needs n >= 3")
-    rng = random.Random(seed)
-    k = max(3, n // clique)
-    groups = [list(range(i * clique, min((i + 1) * clique, n)))
-              for i in range(k)]
-    groups = [grp for grp in groups if grp]
-    leftovers = list(range(len(groups) * clique, n))
-    for v in leftovers:
-        groups[rng.randrange(len(groups))].append(v)
-    pairs = []
-    for grp in groups:
-        if len(grp) == 1:
-            continue
-        pairs += [(u, v) for i, u in enumerate(grp) for v in grp[i + 1:]]
-    for i, grp in enumerate(groups):
-        nxt = groups[(i + 1) % len(groups)]
-        pairs.append((rng.choice(grp), rng.choice(nxt)))
-    g = _graph(n, pairs)
-    if not is_2ec(g):
+    while True:
+        rng = random.Random(seed)
+        k = max(3, n // clique)
+        groups = [list(range(i * clique, min((i + 1) * clique, n)))
+                  for i in range(k)]
+        groups = [grp for grp in groups if grp]
+        leftovers = list(range(len(groups) * clique, n))
+        for v in leftovers:
+            groups[rng.randrange(len(groups))].append(v)
+        pairs = []
+        for grp in groups:
+            if len(grp) == 1:
+                continue
+            pairs += [(u, v) for i, u in enumerate(grp) for v in grp[i + 1:]]
+        for i, grp in enumerate(groups):
+            nxt = groups[(i + 1) % len(groups)]
+            pairs.append((rng.choice(grp), rng.choice(nxt)))
+        g = _graph(n, pairs)
+        if is_2ec(g):
+            return g
         # single-vertex groups can break 2EC; retighten with the next seed
-        return gen_cycle_of_cliques(n, seed + 1, clique)
-    return g
+        seed += 1
 
 
 def gen_dumbbell(n: int, seed: int) -> Graph:
@@ -183,29 +184,30 @@ def gen_structured_stress(n: int, seed: int) -> Graph:
     """
     if n < 8:
         raise InfeasibleError("structured_stress needs n >= 8")
-    rng = random.Random(seed)
-    core = max(8, n // 3)
-    pairs = [(i, (i + 1) % core) for i in range(core)]
-    nxt = core
-    while nxt < n:
-        size = rng.choice([4, 5, 6])
-        size = min(size, n - nxt)
-        if size < 3:
-            for v in range(nxt, n):
-                a = rng.randrange(core)
-                pairs += [(v, a), (v, (a + 2) % core)]
-            nxt = n
-            break
-        ring = list(range(nxt, nxt + size))
-        pairs += [(ring[i], ring[(i + 1) % size]) for i in range(size)]
-        hooks = rng.sample(range(core), min(3, rng.randint(2, 3)))
-        for i, a in enumerate(sorted(hooks)):
-            pairs.append((ring[i % size], a))
-        nxt += size
-    g = _graph(n, pairs)
-    if not is_2ec(g):
-        return gen_structured_stress(n, seed + 1)
-    return g
+    while True:
+        rng = random.Random(seed)
+        core = max(8, n // 3)
+        pairs = [(i, (i + 1) % core) for i in range(core)]
+        nxt = core
+        while nxt < n:
+            size = rng.choice([4, 5, 6])
+            size = min(size, n - nxt)
+            if size < 3:
+                for v in range(nxt, n):
+                    a = rng.randrange(core)
+                    pairs += [(v, a), (v, (a + 2) % core)]
+                nxt = n
+                break
+            ring = list(range(nxt, nxt + size))
+            pairs += [(ring[i], ring[(i + 1) % size]) for i in range(size)]
+            hooks = rng.sample(range(core), min(3, rng.randint(2, 3)))
+            for i, a in enumerate(sorted(hooks)):
+                pairs.append((ring[i % size], a))
+            nxt += size
+        g = _graph(n, pairs)
+        if is_2ec(g):
+            return g
+        seed += 1
 
 
 def generate(family: str, n: int, seed: int,

@@ -64,6 +64,18 @@ outputs directly, so the tests can check the solver against them:
   sorted by popcount, with a parent per (mask, last vertex);
   `graph.hamiltonian_path`, one ascending pass and a walk back, must
   return the same path or None.
+- `anchored_cycle`: the glue step's cycle through two components, with
+  each gate built by its own copy of the code and four cases for each end
+  of each edge; `gluing._anchored_cycle`, one gate builder for both ends
+  and one placement rule per edge end, must return the same edge ids and
+  attachments, or None.
+- `arc_keeping`: a cycle arc of the contraction, walked one component at
+  a time from its start to its end; `gluing._arc_keeping` reads it off the
+  cycle's walk order by index and must return the same edge ids.
+- `branch_partition`: the bridge-cover tree's branches off a longest
+  path, found as the components of the tree less the path, each with a
+  scan of every tree edge; `bridge_cover._branch_partition`, one
+  breadth-first search from the whole path, must give the same groups.
 """
 
 import math
@@ -75,9 +87,10 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
 
 from twoec import oracle
 from twoec.bridge_cover import TcTree, _reach_paths
-from twoec.errors import InfeasibleError
-from twoec.gluing import ComponentGraph
-from twoec.graph import (VIRTUAL_BASE, Edge, Graph, components,
+from twoec.errors import InfeasibleError, InternalContradiction
+from twoec.gluing import (ComponentGraph, GlueContext, _cycle_edge_between,
+                          _cycle_sequence)
+from twoec.graph import (VIRTUAL_BASE, Edge, FlowNet, Graph, components,
                          connected_subsets, cut_vertices,
                          find_irrelevant_edge, is_2ec, is_2vc)
 from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
@@ -909,3 +922,148 @@ def hamiltonian_path_by_popcount(g: Graph, w: Iterable[int], u: int,
         path.append(last)
     path.reverse()
     return [ws[i] for i in path]
+
+
+# -- the glue step's anchored cycle and cycle arcs, and the branch split -------
+
+
+def anchored_cycle(ctx: GlueContext, r1: int, r2: int,
+                   gate1: Optional[Tuple[Iterable[int], Iterable[int]]] = None,
+                   gate2: Optional[Tuple[Iterable[int], Iterable[int]]] = None,
+                   allowed: Optional[FrozenSet[int]] = None):
+    """A cycle of the contraction through components r1 and r2: two
+    node-disjoint paths of one flow network, with r1's gate built on the
+    source side and r2's on the sink side by two copies of the same code,
+    and four cases for each end of each edge. Returns (edge ids,
+    (r1 attachments), (r2 attachments)) or None."""
+    net = FlowNet()
+    src, snk = ("src",), ("snk",)
+
+    def ok(rep: int) -> bool:
+        return allowed is None or rep in allowed or rep in (r1, r2)
+
+    if gate1 is not None:
+        seen1 = set(gate1[0]) | set(gate1[1])
+        for i in (0, 1):
+            net.add_arc(src, ("g1", i), None)
+        for v in sorted(seen1):
+            net.add_arc(("v1i", v), ("v1o", v), None)
+        for i in (0, 1):
+            for v in sorted(set(gate1[i])):
+                net.add_arc(("g1", i), ("v1i", v), None)
+
+        def out1(v):
+            return ("v1o", v)
+        allow1 = seen1
+    else:
+        def out1(v):
+            return src
+        allow1 = set(ctx.comp_vertices(r1))
+
+    if gate2 is not None:
+        seen2 = set(gate2[0]) | set(gate2[1])
+        for i in (0, 1):
+            net.add_arc(("g2", i), snk, None)
+        for v in sorted(seen2):
+            net.add_arc(("v2i", v), ("v2o", v), None)
+        for i in (0, 1):
+            for v in sorted(set(gate2[i])):
+                net.add_arc(("v2o", v), ("g2", i), None)
+
+        def in2(v):
+            return ("v2i", v)
+        allow2 = seen2
+    else:
+        def in2(v):
+            return snk
+        allow2 = set(ctx.comp_vertices(r2))
+
+    for rep in sorted(ctx.ghat.node_vertices):
+        if rep not in (r1, r2) and ok(rep):
+            net.add_arc(("ci", rep), ("co", rep), None)
+    for e in ctx.g.edges():
+        cu, cv = ctx.ghat.node_of(e.u), ctx.ghat.node_of(e.v)
+        if cu == cv:
+            continue
+        for x, cx, y, cy in ((e.u, cu, e.v, cv), (e.v, cv, e.u, cu)):
+            if cx == r1 and cy == r2:
+                if x in allow1 and y in allow2:
+                    net.add_arc(out1(x), in2(y), e)
+            elif cx == r1:
+                if ok(cy) and cy != r2 and x in allow1:
+                    net.add_arc(out1(x), ("ci", cy), e)
+            elif cy == r2:
+                if ok(cx) and cx != r1 and y in allow2:
+                    net.add_arc(("co", cx), in2(y), e)
+            elif cx != r2 and cy != r1:
+                if ok(cx) and ok(cy):
+                    net.add_arc(("co", cx), ("ci", cy), e)
+
+    if net.max_flow(src, snk, 2) < 2:
+        return None
+    p1, p2 = net.two_paths(src, snk)
+
+    def ends(path):
+        first, last = path[0], path[-1]
+        a = first.u if ctx.ghat.node_of(first.u) == r1 else first.v
+        b = last.u if ctx.ghat.node_of(last.u) == r2 else last.v
+        return a, b
+
+    (a1, b1), (a2, b2) = ends(p1), ends(p2)
+    ids = [e.id for e in p1] + [e.id for e in p2]
+    return ids, (a1, a2), (b1, b2)
+
+
+def arc_keeping(ctx: GlueContext, fids: List[int], start: int, end: int,
+                want: int) -> Optional[List[int]]:
+    """Edges of the cycle arc from component start to end whose components
+    include want: each direction walked one step at a time until it meets
+    end, with a guard against a walk that overruns the cycle."""
+    seq = _cycle_sequence(ctx, fids)
+    if seq is None or start not in seq or end not in seq:
+        return None
+    order = list(seq)
+    i, j = order.index(start), order.index(end)
+    n = len(order)
+    for direction in (1, -1):
+        arc_nodes = []
+        k = i
+        while True:
+            arc_nodes.append(order[k % n])
+            if order[k % n] == end:
+                break
+            k += direction
+            if len(arc_nodes) > n:
+                return None
+        if want in arc_nodes:
+            ids = []
+            for a, b in zip(arc_nodes, arc_nodes[1:]):
+                eid = _cycle_edge_between(ctx, fids, a, b)
+                if eid is None:
+                    return None
+                ids.append(eid)
+            return ids
+    return None
+
+
+def branch_partition(tc: TcTree, path: List[int]) -> Dict[int, Set[int]]:
+    """Nodes hanging off path[i] (i >= 1), grouped by attachment index:
+    the components of the tree less the path, each with a scan of every
+    tree edge for the one that leaves it."""
+    pset = set(path)
+    index = {v: i for i, v in enumerate(path)}
+    rest = tc.tree.without_vertices(pset)
+    out: Dict[int, Set[int]] = {}
+    for comp in components(rest):
+        cset = set(comp)
+        attach = None
+        for e in tc.tree.edges():
+            if (e.u in cset) != (e.v in cset):
+                anchor = e.u if e.u in pset else e.v
+                if anchor in pset:
+                    attach = index[anchor]
+        if attach is None or attach == 0:
+            raise InternalContradiction("branch not attached to spine interior",
+                                        counterexample=(tc.g, path))
+        out.setdefault(attach, set()).update(cset)
+    return out

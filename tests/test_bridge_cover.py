@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from twoec.bridge_cover import (build_tc, cover_all, cover_step,
-                                find_cheap_path, merge_two_paths)
+from twoec.bridge_cover import (TcTree, _branch_partition,
+                                _longest_tree_path, build_tc, cover_all,
+                                cover_step, find_cheap_path, merge_two_paths)
 from twoec.cover import (canonicalize, cover_cost, initial_cover,
                          enumerate_guesses)
-from twoec.graph import Graph, bridges, components, is_2ec
+from twoec.graph import Edge, Graph, bridges, components, is_2ec
 
 from conftest import random_2ec_graph
-from reference import reachable
+from reference import branch_partition, reachable
 
 
 def cycle(n, offset=0):
@@ -230,3 +231,20 @@ class TestCoverAll:
             assert not bridges(sub)
             assert all(is_2ec(sub.induced(comp)) for comp in components(sub))
             assert cover_cost(g, out) <= cover_cost(g, cc)
+
+
+class TestBranchPartition:
+    def test_matches_reference_on_random_trees(self, rng):
+        # random trees on scattered labels, split off a longest path
+        branched = 0
+        for _ in range(300):
+            n = rng.randint(1, 24)
+            labels = rng.sample(range(100), n)
+            tree = Graph(labels, [Edge(k - 1, labels[k], labels[rng.randrange(k)])
+                                  for k in range(1, n)])
+            tc = TcTree(tree, tree, tree, {}, frozenset())
+            path = _longest_tree_path(tc)
+            got = _branch_partition(tc, path)
+            assert got == branch_partition(tc, path)
+            branched += bool(got)
+        assert branched > 200

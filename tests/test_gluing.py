@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from twoec.cover import canonicalize, cover_cost, initial_cover
 from twoec.bridge_cover import cover_all
 from twoec.errors import InternalContradiction
-from twoec.gluing import (GlueContext, _anchored_cycle, _blocks_of,
-                          build_context, glue_all, glue_c4_local_c5,
-                          glue_step, hamiltonian_pairs, local_3_matching,
-                          shortcut_c4_local_c5, shortcut_edge)
+from twoec.gluing import (GlueContext, _anchored_cycle, _arc_keeping,
+                          _blocks_of, _cycle_comps, build_context, glue_all,
+                          glue_c4_local_c5, glue_step, hamiltonian_pairs,
+                          local_3_matching, shortcut_c4_local_c5,
+                          shortcut_edge)
 from twoec.graph import Edge, Graph, components, is_2ec
 
+import reference
 from conftest import random_2ec_graph, small_graphs
 
 
@@ -123,6 +125,71 @@ class TestMatchingAndCycles:
         g, s = self._two_rings()
         ctx = build_context(g, s)
         assert _anchored_cycle(ctx, 8, 0, gate1=({11}, {11})) is None
+
+
+def random_rings_contexts(rng, count):
+    """`build_context` of `count` random `rings` inputs: an 8-cycle anchor
+    and two to four more cycles of 4 to 8 edges, joined by random cross
+    edges. Inputs that leave the anchor in no block are redrawn."""
+    out = []
+    while len(out) < count:
+        sizes = [8] + [rng.randint(4, 8) for _ in range(rng.randint(2, 4))]
+        n = sum(sizes)
+        cross = [tuple(rng.sample(range(n), 2))
+                 for _ in range(rng.randint(3, 2 * len(sizes)))]
+        g, s = rings(sizes, cross)
+        try:
+            out.append(build_context(g, s))
+        except InternalContradiction:
+            continue
+    return out
+
+
+class TestAnchoredCycleMatchesReference:
+    """`_anchored_cycle` and `_arc_keeping` against their copies in
+    `reference.py`, on every ordered pair of components of random
+    contexts."""
+
+    def gates(self, ctx, r1, r2):
+        """(gate1, gate2, allowed) triples: no gate, r1 left at two
+        vertices, and r1 entered at a Hamiltonian pair with r2 left at two
+        vertices, each inside the anchor block and unrestricted."""
+        vs1, vs2 = ctx.comp_vertices(r1), ctx.comp_vertices(r2)
+        shapes = [(None, None), ((vs1, vs1), None)]
+        shapes += [(({u}, {v}), (vs2, vs2))
+                   for u, v in hamiltonian_pairs(ctx.g, vs1)[:2]]
+        return [(g1, g2, allowed) for g1, g2 in shapes
+                for allowed in (ctx.block, None)]
+
+    def test_equal_on_random_rings(self, rng):
+        found = arcs = 0
+        for ctx in random_rings_contexts(rng, 300):
+            reps = sorted(ctx.comp_edges)
+            for r1 in reps:
+                for r2 in reps:
+                    if r1 == r2:
+                        continue
+                    for gate1, gate2, allowed in self.gates(ctx, r1, r2):
+                        got = _anchored_cycle(ctx, r1, r2, gate1, gate2,
+                                              allowed)
+                        assert got == reference.anchored_cycle(
+                            ctx, r1, r2, gate1, gate2, allowed)
+                        if got is None:
+                            continue
+                        found += 1
+                        comps = _cycle_comps(ctx, got[0])
+                        if len(comps) < 3:
+                            continue
+                        for start in comps:
+                            for end in comps:
+                                for want in comps:
+                                    arcs += 1
+                                    assert _arc_keeping(
+                                        ctx, got[0], start, end, want) == \
+                                        reference.arc_keeping(
+                                            ctx, got[0], start, end, want)
+        # the inputs reach both answers and cycles long enough for arcs
+        assert found > 1000 and arcs > 1000
 
 
 class TestShortcutEdge:
@@ -336,6 +403,38 @@ class TestNonLocalFiveCycleExits:
                       (16, 31), (20, 35), (21, 37)])
         pinned_move(g, s, "pendant_5cycle_merge",
                     {42, 43, 45, 46, 47, 49}, {10}, Fraction(1, 4))
+
+    def test_reroute_detour_keeps_the_anchor_arc(self):
+        # the pinched cycle above, with a fourth 6-cycle 41 in the anchor
+        # block: 10-41 replaces 10-16, and 44-2 ties 41 to the anchor. The
+        # unpinning edge 10-41 detours through 41 and lands on the anchor,
+        # which is not next to 8 on the cycle, so the cycle keeps its arc
+        # from the anchor back to 8 through the side that holds it
+        g, s = rings([8, 5, 5, 5, 6, 6, 6, 6],
+                     [(8, 15), (8, 20), (10, 41), (11, 21), (13, 0),
+                      (18, 4), (8, 23), (10, 25), (11, 27), (15, 29),
+                      (16, 31), (20, 35), (21, 37), (44, 2)])
+        pinned_move(g, s, "pendant_5cycle_merge",
+                    {47, 49, 51, 53, 55, 60}, {10}, Fraction(1, 2))
+
+    def test_reroute_detour_lands_next_to_c1(self):
+        # the same input with 44-16 in place of 44-2: the detour through 41
+        # lands on the 5-cycle 13, a cycle neighbour of 8, and replaces the
+        # cycle edge between them
+        g, s = rings([8, 5, 5, 5, 6, 6, 6, 6],
+                     [(8, 15), (8, 20), (10, 41), (11, 21), (13, 0),
+                      (18, 4), (8, 23), (10, 25), (11, 27), (15, 29),
+                      (16, 31), (20, 35), (21, 37), (44, 16)])
+        pinned_move(g, s, "pendant_5cycle_merge",
+                    {48, 49, 51, 52, 53, 55, 60}, {10}, Fraction(3, 4))
+
+    def test_three_component_block_cycle_grows(self):
+        # blocks {0, 8, 13} and {8, 21}: the cycle that leaves the 5-cycle
+        # 8 at two vertices first closes on the anchor alone, then grows
+        # through the 8-cycle 13 before it pays
+        g, s = rings([8, 5, 8, 6], [(12, 18), (10, 26), (11, 25), (10, 24),
+                                    (10, 5), (19, 4), (12, 2), (11, 23)])
+        pinned_move(g, s, "cycle_merge", {27, 32, 33}, (), Fraction(1, 4))
 
 
 class TestFallbackUnion:

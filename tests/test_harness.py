@@ -11,9 +11,10 @@ from twoec.errors import (InfeasibleError, InternalContradiction,
                           OracleTimeout, ParseError)
 from twoec.graph import Edge, Graph, is_2ec
 from twoec.harness import (FAMILIES, baseline_dfs2, format_instance,
-                           gen_dumbbell, gen_gnp_2ec, gen_structured_stress,
-                           generate, instance_hash, parse_instance,
-                           report_json, solve, structured_solver, verify)
+                           gen_cycle_of_cliques, gen_dumbbell, gen_gnp_2ec,
+                           gen_structured_stress, generate, instance_hash,
+                           parse_instance, report_json, solve,
+                           structured_solver, verify)
 from twoec.oracle import min_2ecss
 
 import reference
@@ -87,6 +88,13 @@ class TestGenerators:
         from twoec.graph import components
         assert len(components(rest)) == 2
 
+    def test_retry_takes_the_next_seed(self):
+        # cycle_of_cliques n = 10 is not 2EC at seeds 6 to 11; each of them
+        # retries with the next seed until seed 12
+        got = {format_instance(gen_cycle_of_cliques(10, seed))
+               for seed in range(6, 13)}
+        assert got == {format_instance(gen_cycle_of_cliques(10, 12))}
+
     def test_structured_stress_has_anchor_cycle(self):
         g = gen_structured_stress(24, 3)
         assert is_2ec(g)
@@ -154,8 +162,17 @@ class TestVerify:
     def test_bridge_detected(self):
         g = Graph(range(4), [Edge(0, 0, 1), Edge(1, 1, 2), Edge(2, 2, 0),
                              Edge(3, 2, 3), Edge(4, 3, 0)])
-        got = verify(g, [0, 1, 2, 3])
-        assert got["status"] in ("SPANNING_FAIL", "NOT_2EC")
+        # every vertex is touched, and the edge 2-3 is a bridge
+        assert verify(g, [0, 1, 2, 3]) == {"status": "NOT_2EC",
+                                           "witness": [3]}
+
+    def test_disconnected(self):
+        # two triangles joined by 0-3 and 2-5, neither in the solution
+        g = Graph(range(6), [Edge(0, 0, 1), Edge(1, 1, 2), Edge(2, 2, 0),
+                             Edge(3, 3, 4), Edge(4, 4, 5), Edge(5, 5, 3),
+                             Edge(6, 0, 3), Edge(7, 2, 5)])
+        assert verify(g, range(6)) == {"status": "NOT_2EC",
+                                       "witness": ["disconnected"]}
 
 
 class TestSolve:

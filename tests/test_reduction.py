@@ -299,6 +299,27 @@ class TestReduceRules:
         assert (bad.vertices, bad.edges()) == (g.vertices, g.edges())
 
 
+class TestMinPatch:
+    """The patch that a 2-cut stitch adds back, on C6 (edge ids 0-5) plus
+    the chord (0, 3)."""
+
+    def graph(self):
+        return Graph.from_edge_list(6, cycle(6) + [(0, 3)])
+
+    def test_one_edge_closes_the_cycle(self):
+        assert reduction._min_patch(self.graph(), frozenset(range(5)),
+                                    2) == {5}
+
+    def test_pair_closes_the_path(self):
+        # no single edge makes the path 0-1-2-3-4 plus vertex 5 2EC
+        assert reduction._min_patch(self.graph(), frozenset(range(4)),
+                                    2) == {4, 5}
+
+    def test_pair_beyond_the_limit_is_refused(self):
+        with pytest.raises(InternalContradiction, match="no small patch"):
+            reduction._min_patch(self.graph(), frozenset(range(4)), 1)
+
+
 class TestReduceMedium:
     def test_random_instances_bound_and_contract(self, rng):
         for _ in range(6):

@@ -345,8 +345,9 @@ def baseline_dfs2(g: Graph) -> FrozenSet[int]:
             raise InfeasibleError(f"tree edge above {v} is a bridge")
         chosen.add(best[v][1])
     out = frozenset(chosen)
-    sub = g.spanning(out)
-    assert is_2ec(sub) and sub.n == g.n
+    if not is_2ec(g.spanning(out)):
+        raise InternalContradiction("DFS baseline output is not 2EC spanning",
+                                    counterexample=g)
     return out
 
 

@@ -29,7 +29,9 @@ the whole graph. Its callers differ in three ways, each an argument:
 `opt_type` rules type C out before any search when the 2-edge-connected
 components of the side cannot hold two pieces, one with u and one with
 v (`_no_type_c`), and tests the complement side of a cut on an index of
-its vertices, with no graph built (`_complement_2ec`).
+its vertices (`_complement_2ec`). Its typed search runs on the side's
+`_EdgeArrays` with k = 0, 1 or 2 virtual u–v entries appended at the last
+positions; neither builds a graph.
 
 `find_contractible_subgraph` runs the exact 2EC search only on the few
 vertex sets W that cheap tests leave open. Its set search makes only the
@@ -62,8 +64,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from .errors import OracleBudgetError, OracleTimeout
-from .graph import (Edge, Graph, _index, _is_2ec, _labels, _sub_index,
-                    _two_paths, bridges)
+from .graph import (Graph, _index, _is_2ec, _labels, _sub_index, _two_paths,
+                    bridges)
 
 
 # nodes the set search of `find_contractible_subgraph` may make per call
@@ -78,27 +80,41 @@ def _check_deadline(deadline: Optional[float], search: str) -> None:
 # -- the deepening search ---------------------------------------------------
 
 
+def _append_uv(nb: List[List[Tuple[int, int]]], a: int, b: int, m: int,
+               k: int) -> None:
+    """Append k a–b entries, at edge positions m to m + k − 1, to the rows
+    a and b of the `_index` lists nb."""
+    for j in range(m, m + k):
+        nb[a].append((b, j))
+        nb[b].append((a, j))
+
+
 class _EdgeArrays:
     """Mutable array view of a graph for the hot search loops: the
     `graph._index` lists `nb` (passed in when the caller has built them),
     the ends and ids of each edge position, and the present mask and
-    degrees that `remove` and `restore` keep."""
+    degrees that `remove` and `restore` keep. k virtual u–v edges (`uv`)
+    follow g's, at the last positions and with ids above g's."""
 
     def __init__(self, g: Graph,
-                 nb: Optional[List[List[Tuple[int, int]]]] = None):
+                 nb: Optional[List[List[Tuple[int, int]]]] = None,
+                 uv: Optional[Tuple[int, int]] = None, k: int = 0):
         vidx = {v: i for i, v in enumerate(g.vertices)}
+        a, b = (vidx[uv[0]], vidx[uv[1]]) if uv else (0, 0)
+        es = g.edges()
+        top = es[-1].id if es else -1  # the largest id: edges come ascending
         self.n = g.n
         self.nb = _index(g) if nb is None else nb
-        es = g.edges()
-        self.eids = [e.id for e in es]
-        self.pos = {e.id: i for i, e in enumerate(es)}
-        self.eu = [vidx[e.u] for e in es]
-        self.ev = [vidx[e.v] for e in es]
-        self.present = [True] * len(es)
+        _append_uv(self.nb, a, b, g.m, k)
+        self.eids = [e.id for e in es] + list(range(top + 1, top + 1 + k))
+        self.pos = {eid: i for i, eid in enumerate(self.eids)}
+        self.eu = [vidx[e.u] for e in es] + [a] * k
+        self.ev = [vidx[e.v] for e in es] + [b] * k
+        self.present = [True] * len(self.eids)
         self.deg = [0] * self.n
-        for i in range(len(es)):
-            self.deg[self.eu[i]] += 1
-            self.deg[self.ev[i]] += 1
+        for x, y in zip(self.eu, self.ev):
+            self.deg[x] += 1
+            self.deg[y] += 1
 
     def reset(self) -> None:
         """Restore every removed edge."""
@@ -253,7 +269,7 @@ def min_2ecss(g: Graph, deadline: Optional[float] = None,
     if vertex_cap is not None and g.n > vertex_cap:
         raise OracleBudgetError(
             f"min_2ecss called with n={g.n} > cap {vertex_cap}")
-    found = _min_2ec(g, frozenset(), None, deadline)
+    found = _min_2ec(_EdgeArrays(g), frozenset(), None, deadline)
     if found is None:
         raise ValueError("min_2ecss input must be 2EC")
     return found[1]
@@ -267,18 +283,18 @@ def min_inner_edges(g: Graph, inner: Sequence[int], cap: Optional[int],
     Edges outside `inner` are free (always present, not counted). Returns
     (count, chosen inner edges) or None if no solution with count <= cap.
     """
-    return _min_2ec(g, g.edge_set() - set(inner), cap, deadline)
+    return _min_2ec(_EdgeArrays(g), g.edge_set() - set(inner), cap, deadline)
 
 
-def _min_2ec(g: Graph, free: FrozenSet[int], cap: Optional[int],
+def _min_2ec(arr: _EdgeArrays, free: FrozenSet[int], cap: Optional[int],
              deadline: Optional[float],
              accept: Optional[Callable[[_EdgeArrays], bool]] = None
              ) -> Optional[Tuple[int, FrozenSet[int]]]:
-    """Keep the fewest, then lex-first, edges outside `free` so that free ∪
-    kept is 2EC spanning, at most cap of them when cap is given; with
-    `accept`, only a leaf it accepts counts. It sees the search's
-    `_EdgeArrays` of g, whose present mask marks free ∪ kept there, and
-    leaves them as it found them. Returns (count, kept) or None.
+    """Keep the fewest, then lex-first, edges of `arr` outside `free` so
+    that free ∪ kept is 2EC spanning, at most cap of them when cap is
+    given; with `accept`, only a leaf it accepts counts. `accept` sees
+    `arr`, whose present mask marks free ∪ kept there, and leaves it as it
+    found it. Returns (count, kept) or None.
 
     The free edges are forced and not counted: count = kept − |free|, and
     the deepening stops at |free| + cap. `_deepen` runs with `connected`,
@@ -297,8 +313,6 @@ def _min_2ec(g: Graph, free: FrozenSet[int], cap: Optional[int],
       a time, each drop keeping the rest 2EC, which holds exactly when
       free ∪ kept is 2EC.
     """
-    arr = _EdgeArrays(g)
-
     def leaf(st: List[int], kd: List[int]) -> bool:
         drop = [i for i, s in enumerate(st) if s == 0]
         for i in drop:
@@ -310,7 +324,7 @@ def _min_2ec(g: Graph, free: FrozenSet[int], cap: Optional[int],
             arr.restore(i)
         return ok
 
-    hi = g.m if cap is None else len(free) + cap
+    hi = len(arr.eids) if cap is None else len(free) + cap
     kept = _deepen(arr, free, hi, deadline, leaf, connected=True)
     if kept is None:
         return None
@@ -603,12 +617,6 @@ def find_contractible_subgraph(g: Graph, alpha: Fraction,
 # -- type classification and type optima ----------------------------------
 
 
-def _with_uv(g: Graph, u: int, v: int, k: int) -> Graph:
-    """g plus k virtual u–v edges, with ids above g's largest."""
-    top = max(g.edge_ids(), default=-1)
-    return g.with_edges([Edge(top + 1 + i, u, v) for i in range(k)])
-
-
 def _complement_2ec(g_full: Graph, v1: Iterable[int], u: int, v: int,
                     k: int, full_index: Optional[List[List[Tuple[int, int]]]]
                     = None) -> bool:
@@ -621,10 +629,8 @@ def _complement_2ec(g_full: Graph, v1: Iterable[int], u: int, v: int,
     keep = [i for i, x in enumerate(vs) if x not in drop]
     nb = _sub_index(_index(g_full) if full_index is None else full_index,
                     keep)
-    a, b = keep.index(vs.index(u)), keep.index(vs.index(v))
-    for j in range(g_full.m, g_full.m + k):
-        nb[a].append((b, j))
-        nb[b].append((a, j))
+    _append_uv(nb, keep.index(vs.index(u)), keep.index(vs.index(v)),
+               g_full.m, k)
     return _is_2ec(nb)
 
 
@@ -672,14 +678,16 @@ def _opt_typed(g1: Graph, u: int, v: int, t: str,
     # Every type-t h is 2EC spanning once k = 0 (A), 1 (B) or 2 (C) virtual
     # u–v edges are added, so the 2EC search over g1's edges with the
     # virtual ones free never prunes one, and the first accepted leaf is the
-    # (size, lex) minimum. An h with h + uv 2EC is connected (an edge joining
-    # two components is a bridge), so of type A when 2EC and B when not. A C
-    # leaf has one or two components, each holding u or v, and is of type C
-    # when u and v lie apart. The leaf tests read h off the search's present
-    # mask with the virtual positions cleared: they are the last k, since
-    # their ids are above g1's.
+    # (size, lex) minimum. The search runs on g1's index with k u–v entries
+    # appended at the last positions, ids above g1's, so it meets the edges
+    # in the order a built g1 + k·uv would give; no graph is built. An h
+    # with h + uv 2EC is connected (an edge joining two components is a
+    # bridge), so of type A when 2EC and B when not. A C leaf has one or two
+    # components, each holding u or v, and is of type C when u and v lie
+    # apart. The leaf tests read h off the search's present mask with the
+    # virtual positions cleared.
     k = "ABC".index(t)
-    g = _with_uv(g1, u, v, k)
+    arr = _EdgeArrays(g1, uv=(u, v), k=k)
     a, b = g1.vertices.index(u), g1.vertices.index(v)
 
     def accept(arr: _EdgeArrays) -> bool:
@@ -689,6 +697,6 @@ def _opt_typed(g1: Graph, u: int, v: int, t: str,
         label = _labels(arr.nb, h)
         return label[a] != label[b]
 
-    found = _min_2ec(g, g.edge_set() - g1.edge_set(), None, deadline,
+    found = _min_2ec(arr, frozenset(arr.eids[g1.m:]), None, deadline,
                      None if t == "A" else accept)
     return None if found is None else found[1]

@@ -75,8 +75,7 @@ def _small_threshold(alpha: Fraction) -> Fraction:
 
 
 def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
-         deadline: Optional[float], trace: ReductionTrace,
-         cut: Optional[CutPartition] = None) -> FrozenSet[int]:
+         deadline: Optional[float], trace: ReductionTrace) -> FrozenSet[int]:
     # A work list: each rule replaces the graph it pops by smaller ones or
     # adds edges to `kept`. one_cut pushes every block at once, one step per
     # block after the first (every cycle lies in one block; blocks drop only
@@ -84,16 +83,13 @@ def _red(g: Graph, alpha: Fraction, alg: Optional[Solver],
     # stitch (its graph, patch limit, dummy ids); the stitches run after the
     # loop, latest first. Blocks, contractions and cut sides share no edge
     # id, so kept ∩ E(g) is then what the sides reduced to, and a later
-    # stitch lies inside an earlier one's graph. With `cut`, g starts there.
-    # Dummy vertices and edges are numbered above every id of g.
+    # stitch lies inside an earlier one's graph. Dummy vertices and edges
+    # are numbered above every id of g.
     ids = itertools.count(max([VIRTUAL_BASE - 1, *g.vertices, *g.edge_ids()])
                           + 1)
     kept: Set[int] = set()
     stitches: List[Tuple[Graph, int, FrozenSet[int]]] = []
-    todo = [g] if cut is None else []
-    if cut is not None:
-        kept |= _split_two_cut(g, cut, alpha, deadline, trace, ids, todo,
-                               stitches)
+    todo = [g]
     while todo:
         g = todo.pop()
         if g.n <= _small_threshold(alpha):
@@ -202,15 +198,6 @@ def partition_non_isolating(g: Graph, u: int, v: int) -> CutPartition:
         a, b = b, a
     assert 2 <= len(a) <= len(b)
     return CutPartition(u, v, frozenset(a), frozenset(b))
-
-
-def handle_two_cut(g: Graph, cut: CutPartition, alpha: Fraction = ALPHA_DEFAULT,
-                   alg: Optional[Solver] = None,
-                   deadline: Optional[float] = None,
-                   trace: Optional[ReductionTrace] = None) -> FrozenSet[int]:
-    """Resolve a non-isolating 2-vertex cut of g and reduce its sides."""
-    return _red(g, alpha, alg, deadline,
-                trace if trace is not None else ReductionTrace(), cut)
 
 
 def _split_two_cut(g: Graph, cut: CutPartition, alpha: Fraction,

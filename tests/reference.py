@@ -31,6 +31,9 @@ outputs directly, so the tests can check the solver against them:
   bridge test, `BridgeArrays.is_2ec_now`, is a lowpoint DFS of its own on
   edge positions that stops at the first bridge, so the search is not
   checked against the solver's `graph._blocks`.
+- `_with_uv`: a graph plus k virtual u–v edges, built as a `Graph`; the
+  solver's `oracle._EdgeArrays` appends them to a side's arrays and must
+  give the arrays of this graph.
 - `classify_type`: the type A, B or C of a spanning subgraph at a 2-cut
   pair, read off three 2EC tests.
 - `opt_typed_by_graphs`: the typed optimum of a cut side as the exact
@@ -94,7 +97,7 @@ from twoec.graph import (VIRTUAL_BASE, Edge, FlowNet, Graph, components,
                          connected_subsets, cut_vertices,
                          find_irrelevant_edge, is_2ec, is_2vc)
 from twoec.graph import two_vertex_cuts as solver_two_vertex_cuts
-from twoec.oracle import (_below, _Certificates, _EdgeArrays, _with_uv,
+from twoec.oracle import (_below, _Certificates, _EdgeArrays,
                           find_contractible_subgraph, min_inner_edges,
                           min_tf2ec)
 from twoec.reduction import ALPHA_DEFAULT, CutPartition, _parallel_or_loop
@@ -678,6 +681,12 @@ def component_graph(g: Graph, s_edges: Iterable[int]) -> ComponentGraph:
 # -- type classification at a 2-cut pair ------------------------------------
 
 
+def _with_uv(g: Graph, u: int, v: int, k: int) -> Graph:
+    """g plus k virtual u–v edges, with ids above g's largest."""
+    top = max(g.edge_ids(), default=-1)
+    return g.with_edges([Edge(top + 1 + i, u, v) for i in range(k)])
+
+
 def classify_type(h: Graph, u: int, v: int) -> Optional[str]:
     """Type of spanning subgraph h w.r.t. the 2-cut pair {u, v}.
 
@@ -716,7 +725,7 @@ def opt_typed_by_graphs(g1: Graph, u: int, v: int,
     accept = {"A": None,
               "B": lambda arr: not is_2ec(h(arr)),
               "C": lambda arr: len(components(h(arr))) > 1}[t]
-    found = oracle._min_2ec(g, free, None, None, accept)
+    found = oracle._min_2ec(_EdgeArrays(g), free, None, None, accept)
     return None if found is None else found[1]
 
 

@@ -118,6 +118,16 @@ class TestBaseline:
         with pytest.raises(InfeasibleError):
             baseline_dfs2(g)
 
+    def test_output_check_raises(self, monkeypatch):
+        # the input passes and the output fails the 2EC test: a raise that
+        # `python -O` keeps, carrying the input
+        g = cyc(5)
+        monkeypatch.setattr(harness, "is_2ec", lambda h: h is g)
+        with pytest.raises(InternalContradiction,
+                           match="DFS baseline output") as err:
+            baseline_dfs2(g)
+        assert err.value.counterexample is g
+
     def test_matches_back_edge_scan(self, rng):
         # the one bottom-up pass against the scan over every back edge per
         # vertex: equal edge sets, or the same InfeasibleError message

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -18,16 +19,17 @@ from twoec.graph import (VIRTUAL_BASE, Edge, Graph, _index, _is_2ec,
                          is_2ec, components)
 from twoec.harness import generate, solve
 from twoec.oracle import (
-    find_contractible_subgraph, min_2ecss, min_inner_edges, min_tf2ec,
-    opt_type,
+    _EdgeArrays, find_contractible_subgraph, min_2ecss, min_inner_edges,
+    min_tf2ec, opt_type,
 )
 from twoec.errors import OracleBudgetError, OracleTimeout
 
 from conftest import random_2ec_graph, random_multigraph, small_graphs
-from reference import (check_cover_matching_identity, classify_type,
-                       contractible_by_scan, is_alpha_contractible,
-                       max_tf2matching, min_inner_2ec, opt_typed_by_graphs,
-                       two_ec_blocks, two_ended_sets, two_ends_each)
+from reference import (_with_uv, check_cover_matching_identity,
+                       classify_type, contractible_by_scan,
+                       is_alpha_contractible, max_tf2matching, min_inner_2ec,
+                       opt_typed_by_graphs, two_ec_blocks, two_ended_sets,
+                       two_ends_each)
 
 
 def c_n(n):
@@ -215,7 +217,7 @@ class TestRecursiveReference:
 
     @staticmethod
     def typed(g1, u, v, t):
-        g = oracle._with_uv(g1, u, v, "ABC".index(t))
+        g = _with_uv(g1, u, v, "ABC".index(t))
         found = min_inner_2ec(
             g, g.edge_set() - g1.edge_set(), g1.edge_ids(), None,
             accept=lambda kept: classify_type(g1.spanning(kept), u, v) == t)
@@ -765,7 +767,7 @@ class TestTypes:
             v1 = set(rng.sample(vs, rng.randint(0, len(vs) // 2))) | {u, v}
             nb = _index(g)
             for k in (0, 1):
-                want = is_2ec(oracle._with_uv(
+                want = is_2ec(_with_uv(
                     g.without_vertices(v1 - {u, v}), u, v, k))
                 assert oracle._complement_2ec(g, v1, u, v, k) == want
                 # on an index of g that the caller shares between checks
@@ -808,22 +810,41 @@ class TestTypes:
         rng.shuffle(pairs)
         return Graph.from_edge_list(n, pairs), u, v
 
-    def test_opt_type_matches_graph_building_search(self):
+    def test_opt_type_matches_graph_building_search(self, monkeypatch):
         # sides of 8 to 14 vertices: the leaf tests on the search's arrays
         # and the type-C refutation before it give the answers of the
-        # search that builds g1.spanning(kept) at every leaf
+        # search that builds g1.spanning(kept) at every leaf; and the
+        # arrays searched for type t are those of a built g1 + k·uv, k = 0,
+        # 1 or 2, position for position
+        fields = ("nb", "eids", "pos", "eu", "ev", "deg")
+        searched = []
+        search = oracle._min_2ec
+
+        def recording(arr, *args):
+            # as the search starts: it leaves its removals in place
+            searched.append(copy.deepcopy([getattr(arr, f) for f in fields]))
+            return search(arr, *args)
+
+        monkeypatch.setattr(oracle, "_min_2ec", recording)
         rng = random.Random(20261023)
         fired = found = 0
+        compared = Counter()
         for _ in range(200):
             g1, u, v = self.cut_side(rng, rng.randint(8, 14))
-            for t in "ABC":
+            for k, t in enumerate("ABC"):
                 want = opt_typed_by_graphs(g1, u, v, t)
+                searched.clear()
                 assert opt_type(g1, u, v, t) == want
+                for got in searched:
+                    built = _EdgeArrays(_with_uv(g1, u, v, k))
+                    assert got == [getattr(built, f) for f in fields], t
+                    compared[k] += 1
             refuted = oracle._no_type_c(g1, u, v)
             assert not (refuted and want is not None)
             fired += refuted
             found += want is not None
         assert fired >= 30 and found >= 30, (fired, found)
+        assert min(compared[k] for k in range(3)) >= 30, compared
 
     @given(small_graphs().filter(lambda g: g.n >= 2), st.data())
     @settings(max_examples=300, deadline=None)

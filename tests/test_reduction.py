@@ -13,7 +13,7 @@ from twoec.graph import (VIRTUAL_BASE, Edge, Graph, components, is_2ec,
                          is_2vc)
 from twoec.harness import solve
 from twoec.oracle import min_2ecss
-from twoec.reduction import (CutPartition, ReductionTrace, handle_two_cut,
+from twoec.reduction import (ALPHA_DEFAULT, CutPartition, ReductionTrace,
                              partition_non_isolating, reduce)
 
 import test_graph
@@ -28,6 +28,29 @@ def exact_alg(g):
 
 def cycle(n, offset=0):
     return [(offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+def split_and_reduce(g, cut, alpha=ALPHA_DEFAULT):
+    """Resolve the non-isolating cut `cut` of g as the reduction does: its
+    split, `reduce` on each side it pushes (in the order the work list
+    pops them), then its stitch. Returns the solution and the trace, led
+    by the split's rule."""
+    trace = ReductionTrace()
+    ids = itertools.count(max([VIRTUAL_BASE - 1, *g.vertices,
+                               *g.edge_ids()]) + 1)
+    todo, stitches = [], []
+    kept = set(reduction._split_two_cut(g, cut, alpha, None, trace, ids,
+                                        todo, stitches))
+    for side in reversed(todo):
+        sol, side_trace = reduce(side, alpha)
+        kept |= sol
+        trace.steps += side_trace.steps
+    (h, limit, dummies), = stitches
+    assert limit or dummies <= kept
+    kept -= dummies
+    if limit:
+        kept |= reduction._min_patch(h, frozenset(kept & h.edge_set()), limit)
+    return frozenset(kept), trace
 
 
 class TestPartition:
@@ -251,23 +274,25 @@ class TestReduceRules:
         assert is_2ec(g)
         cut = CutPartition(0, 1, frozenset(range(2, 19)),
                            frozenset(range(19, 36)))
-        sol = handle_two_cut(g, cut)
+        sol, trace = split_and_reduce(g, cut)
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 36  # Hamiltonian, matches the trivial lower bound
+        assert trace.steps[0] == "two_cut_both_big"
 
     def test_type_ab_branch_on_cycle_split(self):
         g = Graph.from_edge_list(28, cycle(28))
         # relabel-free split: interior run 1..6 on one side, rest on the other
         cut = CutPartition(0, 7, frozenset(range(1, 7)),
                            frozenset(range(8, 28)))
-        trace = ReductionTrace()
-        sol = handle_two_cut(g, cut, trace=trace)
+        sol, trace = split_and_reduce(g, cut)
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 28
         assert trace.steps[0] == "two_cut_type_AB"
 
     def test_type_c_branch_with_pendant_squares(self):
-        # squares through u=0 and v=1, plus two long disjoint u-v paths
+        # squares through u=0 and v=1, plus two long disjoint u-v paths; 0
+        # and 1 are cut vertices, so `reduce` would split the blocks first:
+        # no input found so far reaches this branch through `reduce`
         pairs = [(0, 2), (2, 3), (3, 4), (4, 0),
                  (1, 5), (5, 6), (6, 7), (7, 1)]
         left = [8 + i for i in range(10)]
@@ -280,8 +305,7 @@ class TestReduceRules:
         assert is_2ec(g)
         cut = CutPartition(0, 1, frozenset({2, 3, 4, 5, 6, 7}),
                            frozenset(left + right))
-        trace = ReductionTrace()
-        sol = handle_two_cut(g, cut, trace=trace)
+        sol, trace = split_and_reduce(g, cut)
         assert is_2ec(g.spanning(sol))
         assert len(sol) == 30 == g.m  # every edge is forced by a degree-2 vertex
         assert trace.steps[0] == "two_cut_type_C"

@@ -33,7 +33,7 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
 VIRTUAL_BASE = 1_000_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     u: int

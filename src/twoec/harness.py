@@ -438,7 +438,10 @@ def report_with_opt(g: Graph, report: Dict[str, object],
     opt = min_2ecss(g, deadline, vertex_cap)
     report = dict(report)
     report["opt"] = len(opt)
-    report["ratio"] = _frac(Fraction(int(report["size"]), len(opt)))
+    # interned as in `solve`: a caller that keeps many reports holds one
+    # copy of each ratio
+    report["ratio"] = sys.intern(_frac(Fraction(int(report["size"]),
+                                                len(opt))))
     return report
 
 

@@ -9,7 +9,13 @@ One search, `_deepen`, computes both exact objects, with bounds computed
 from degrees with the standard library only. It deepens on the kept
 count from a degree-deficiency bound with a keep-first DFS in ascending
 edge-id order, so its first hit is the (size, lex) minimum, on an
-explicit frame stack that never recurses. It runs on an `_EdgeArrays`:
+explicit frame stack that never recurses. The 2EC searches add a subtour
+term, the cut constraint x(δ(S)) >= 2 of the 2ECSS LP relaxation
+(Cheriyan, Sebő and Szigeti, SIAM J. Discrete Math. 14(2), 2001) applied
+to the components of the kept edges: once there are two or more, each
+needs two new edge ends for its crossing edges besides its deficiency.
+On a near-clique the DFS otherwise closes short kept cycles again and
+again and rejects each only at a leaf. It runs on an `_EdgeArrays`:
 the `graph._index` lists of g, the ends of each edge position, and a
 present mask with the degrees it implies. A removal clears the edge's
 mask bit. The present edges are 2EC before it, so the 2EC test after
@@ -157,9 +163,22 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
     first leaf is the answer. Unit propagation keeps the undecided edges
     of a vertex whose deficiency equals its undecided degree; they lie in
     every leaf below the node, so the order is unchanged.
+
+    With `connected`, a node whose kept edges (forced ones included) form
+    two or more components, lone vertices included, is bounded by
+    nk + ceil((dsum + sum_C max(0, 2 − D_C)) / 2), D_C the summed
+    deficiency of component C. It is valid, as these searches accept only
+    a 2EC spanning K: K has two edges across the cut around each C, none
+    of them kept yet, so C takes at least max(D_C, 2) new edge ends, and
+    a new edge has two ends. A node it cuts has no leaf of size k below it
+    that could be accepted, and the DFS order is unchanged, so the first
+    accepted leaf is too. The components are a union-find over vertex
+    positions, by size and without path compression, kept on kept-edge
+    fixes alone: undo pops one record per kept edge, and removals leave it
+    alone.
     """
-    search = "exact 2EC search" if connected else "triangle-free cover search"
-    _check_deadline(deadline, search)
+    what = "exact 2EC search" if connected else "triangle-free cover search"
+    _check_deadline(deadline, what)
     eu, ev, nb, deg, present = arr.eu, arr.ev, arr.nb, arr.deg, arr.present
     m = len(eu)
     dmin = 0 if connected and arr.n < 2 else 2  # the degree each vertex needs
@@ -168,22 +187,47 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
     trail: List[int] = []   # edges in the order they were decided
     frames: List[Tuple[int, int, int]] = []  # (branch edge, trail mark, state)
     nk, dsum, nodes = 0, dmin * arr.n, 0     # kept edges, summed deficiency
+    # components of the kept edges (with `connected`): the union-find, each
+    # root's summed deficiency, and one (root, absorbed root, their old
+    # sums, old extra) per kept edge on `joins`
+    up, size, dc = list(range(arr.n)), [1] * arr.n, [dmin] * arr.n
+    joins: List[Tuple[int, int, int, int, int]] = []
+    ncomp, extra = arr.n, 0  # components; their summed max(0, 2 − D_C)
 
     def fix(i: int, s: int) -> None:
-        nonlocal nk, dsum
+        nonlocal nk, dsum, ncomp, extra
         st[i] = s
         trail.append(i)
         if s == -1:
             arr.remove(i)
             return
         nk += 1
+        before = dsum
         for x in (eu[i], ev[i]):
             if kd[x] < dmin:
                 dsum -= 1
             kd[x] += 1
+        if connected:
+            x, y = eu[i], ev[i]
+            while up[x] != x:
+                x = up[x]
+            while up[y] != y:
+                y = up[y]
+            r, c = (x, y) if size[x] >= size[y] else (y, x)
+            old = dc[r]
+            joins.append((r, c, old, dc[c], extra))
+            new = old - (before - dsum)
+            if r != c:
+                up[c] = r
+                size[r] += size[c]
+                ncomp -= 1
+                new += dc[c]
+                extra -= 2 - dc[c] if dc[c] < 2 else 0
+            extra += (2 - new if new < 2 else 0) - (2 - old if old < 2 else 0)
+            dc[r] = new
 
     def undo(mark: int) -> None:
-        nonlocal nk, dsum
+        nonlocal nk, dsum, ncomp, extra
         while len(trail) > mark:
             i = trail.pop()
             if st[i] == -1:
@@ -194,6 +238,12 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
                     kd[x] -= 1
                     if kd[x] < dmin:
                         dsum += 1
+                if connected:
+                    r, c, dc[r], dc[c], extra = joins.pop()
+                    if r != c:
+                        up[c] = c
+                        size[r] -= size[c]
+                        ncomp += 1
             st[i] = 0
 
     def settle(work: List[int]) -> bool:
@@ -223,9 +273,10 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
         while True:
             nodes += 1
             if nodes % 256 == 0:
-                _check_deadline(deadline, search)
+                _check_deadline(deadline, what)
             # k is reachable: the bound allows it and enough edges are left
-            if ok and nk + (dsum + 1) // 2 <= k <= nk + m - len(trail):
+            if ok and nk + (dsum + (extra if ncomp > 1 else 0) + 1) // 2 \
+                    <= k <= nk + m - len(trail):
                 if nk == k:
                     if leaf(st, kd):
                         return True
@@ -248,7 +299,8 @@ def _deepen(arr: _EdgeArrays, forced: Iterable[int], hi: int,
     for eid in forced:
         fix(arr.pos[eid], 1)
     if settle(list(range(arr.n))) and (not connected or _is_2ec(nb, present)):
-        for k in range(nk + (dsum + 1) // 2, hi + 1):
+        for k in range(nk + (dsum + (extra if ncomp > 1 else 0) + 1) // 2,
+                       hi + 1):
             if search(k):
                 return [i for i in range(m) if st[i] == 1]
     return None

@@ -194,17 +194,22 @@ class TestScaleAudit:
         # past the exact oracle's reach the ratio is certified by a lower
         # bound: OPT >= n, and for n >= 4 OPT >= |min_tf2ec(g)|, since a
         # 2EC spanning subgraph is then a triangle-free 2-edge cover; an
-        # instance neither bound certifies fails, it is never dropped
+        # instance neither bound certifies fails, it is never dropped.
+        # min_tf2ec runs only when n does not certify: on a near-clique
+        # such as dumbbell n = 30 it can take minutes
         rows = [(family, 80, 0.3) for family in (
             "hamiltonian_plus_chords", "cycle_of_cliques",
             "structured_stress")]
-        rows += [("gnp_2ec", 20, 0.3), ("gnp_2ec", 22, 0.25)]
+        rows += [("gnp_2ec", 20, 0.3), ("gnp_2ec", 22, 0.25),
+                 ("dumbbell", 30, 0.3)]
         for family, n, density in rows:
             for seed in range(3):
                 g = generate(family, n, seed, density=density)
                 sol, report = solve(g)
                 assert report["verdict"] == "OK" and is_2ec(g.spanning(sol))
-                bound = max(g.n, len(min_tf2ec(g)))
+                bound = g.n
+                if 4 * len(sol) > 5 * bound:
+                    bound = max(bound, len(min_tf2ec(g)))
                 assert 4 * len(sol) <= 5 * bound, \
                     (family, n, seed, len(sol), bound)
 

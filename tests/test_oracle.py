@@ -240,6 +240,86 @@ class TestRecursiveReference:
                 assert opt_type(g, u, v, t) == self.typed(g, u, v, t)
 
 
+def near_clique(rng, vs):
+    """The edges of K on the vertices vs, in random order, then 0 to 4
+    parallel copies of them: a keep-first search closes short kept cycles
+    in it."""
+    vs = list(vs)
+    rng.shuffle(vs)
+    clique = list(itertools.combinations(vs, 2))
+    return clique + [rng.choice(clique) for _ in range(rng.randint(0, 4))]
+
+
+class TestNearCliques:
+    """Near-cliques, whose optimum is a Hamiltonian cycle: the exact 2EC
+    search bounds a node by the components of its kept edges, each of
+    which needs two more edge ends once there are two or more."""
+
+    @staticmethod
+    def doubled_star(n):
+        """K_n plus a second edge from vertex 0 to every other vertex."""
+        return Graph.from_edge_list(
+            n, list(itertools.combinations(range(n), 2))
+            + [(0, j) for j in range(1, n)])
+
+    @pytest.mark.parametrize("n,want", [
+        (9, {0, 1, 9, 16, 22, 27, 31, 34, 35}),
+        (10, {0, 1, 10, 18, 25, 31, 36, 40, 43, 44}),
+        (11, {0, 1, 11, 20, 28, 35, 41, 46, 50, 53, 54}),
+    ])
+    def test_search_size(self, monkeypatch, n, want):
+        # a degree bound alone closes subtours again and again, each one
+        # rejected at a leaf: 758, 5,111 and 41,494 removal tests here
+        calls = []
+        two_paths = oracle._two_paths
+
+        def counting(*args):
+            calls.append(1)
+            return two_paths(*args)
+
+        monkeypatch.setattr(oracle, "_two_paths", counting)
+        assert min_2ecss(self.doubled_star(n)) == want
+        assert len(calls) < 100, len(calls)
+
+    def test_min_inner_edges_matches_recursion(self):
+        # the recursion bounds by degrees only; some parallel copies are free
+        rng = random.Random(20261024)
+        for _ in range(60):
+            n = rng.randint(4, 8)
+            g = Graph.from_edge_list(n, near_clique(rng, range(n)))
+            eids = g.edge_ids()
+            copies = eids[n * (n - 1) // 2:]
+            free = frozenset(rng.sample(copies, rng.randint(0, len(copies))))
+            inner = [eid for eid in eids if eid not in free]
+            opt, sol = min_inner_2ec(g, free, inner, None)
+            assert min_inner_edges(g, inner, None) == (opt, sol)
+            for cap in (opt, opt - 1):
+                assert min_inner_edges(g, inner, cap) == \
+                    min_inner_2ec(g, free, inner, cap)
+
+    def test_opt_type_on_near_clique_sides(self):
+        # one or two near-cliques on at most 8 vertices, the second joined
+        # to the first by 1 to 3 edges; u in the first, v in either
+        rng = random.Random(20261025)
+        found = Counter()
+        for _ in range(40):
+            n = rng.randint(4, 8)
+            cut = rng.choice([n, rng.randint(2, n - 2)])
+            pairs = near_clique(rng, range(cut))
+            if cut < n:
+                pairs += near_clique(rng, range(cut, n))
+                pairs += [(rng.randrange(cut), rng.randrange(cut, n))
+                          for _ in range(rng.randint(1, 3))]
+            g1 = Graph.from_edge_list(n, pairs)
+            u, v = 0, rng.randrange(1, n)
+            for t in "ABC":
+                want = TestRecursiveReference.typed(g1, u, v, t)
+                assert opt_type(g1, u, v, t) == want
+                assert opt_typed_by_graphs(g1, u, v, t) == want
+                found[t] += want is not None
+        assert min(found.values()) >= 5, found
+
+
 class TestMinTf2ec:
     def test_triangle_avoided(self):
         # bowtie: two triangles sharing vertex 2
@@ -302,6 +382,19 @@ class TestMinTf2ec:
                                  + [(i, i + 10) for i in range(10)])
         with pytest.raises(OracleTimeout):
             min_tf2ec(g, deadline=time.monotonic() - 1)
+
+    def test_deadline_names_the_search_inside_it(self, monkeypatch):
+        # past 256 nodes the search checks its deadline again, under the
+        # same name as on entry
+        seen = []
+        monkeypatch.setattr(oracle, "_check_deadline",
+                            lambda deadline, search: seen.append(search))
+        g = generate("gnp_2ec", 14, 1, density=0.3)
+        for search, name in ((min_2ecss, "exact 2EC search"),
+                             (min_tf2ec, "triangle-free cover search")):
+            seen.clear()
+            search(g, deadline=math.inf)
+            assert len(seen) > 1 and set(seen) == {name}
 
 
 class TestMaxTf2m:
